@@ -95,7 +95,8 @@ Backends
     recorded reason.
 
 Compiling backends (bitpack, aig, vector) additionally persist their
-one-time per-netlist compile through the ``compile_cache=`` hook
+one-time per-netlist compile through ``prepare(netlist, cache)`` /
+``finalize(netlist, cache)``
 (:class:`~repro.engine.base.CompilingEngine`): programs are stored in
 the service result cache keyed by (fingerprint, compile key, compile
 schema), validated against an exact-netlist token on load, and

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from array import array
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.aig import Aig, enumerate_cuts, cut_truth_table, truth_table_to_anf
 from repro.aig.cuts import iter_cuts
@@ -435,11 +435,10 @@ class AigEngine(CompilingEngine):
         output: str,
         trace: bool = False,
         term_limit: Optional[int] = None,
-        compile_cache: Optional[Any] = None,
     ) -> Tuple[PackedExpression, RewriteStats]:
         with cone_span(self, output) as span:
             expression, stats = self._rewrite_cone_impl(
-                netlist, output, trace, term_limit, compile_cache
+                netlist, output, trace, term_limit
             )
             span.annotate(
                 iterations=stats.iterations, peak_terms=stats.peak_terms
@@ -453,11 +452,10 @@ class AigEngine(CompilingEngine):
         output: str,
         trace: bool,
         term_limit: Optional[int],
-        compile_cache: Optional[Any],
     ) -> Tuple[PackedExpression, RewriteStats]:
         stats = RewriteStats(output=output)
 
-        compiled = self._compiled_for(netlist, compile_cache)
+        compiled = self._compiled_for(netlist)
         literal = compiled.net_literal.get(output)
         if literal is None:
             raise _missing_output_error(output)

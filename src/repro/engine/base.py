@@ -24,20 +24,21 @@ Compiled programs
 -----------------
 Backends that precompile a netlist into a reusable *program* (bitpack,
 aig, vector) derive from :class:`CompilingEngine`, which owns the
-per-netlist weak cache, the pickle round-trip, and the
-``compile_cache=`` hook: when a caller passes an object with the
-``get_compiled`` / ``put_compiled`` contract of
-:class:`repro.service.cache.ResultCache`, a freshly-compiled program
-is stored under ``(fingerprint, engine, compile_schema)`` and the next
-cold process loads it instead of recompiling — the one-time compile
-tax becomes a once-*ever* tax per distinct structure.  Fingerprints
-are strash-invariant while compiled programs may depend on internal
-net names and gate order, so every serialized program carries an exact
-:func:`netlist_token`; a cache entry whose token mismatches the
-netlist in hand (same structure, different spelling) is recompiled
-rather than mis-served.  ``compile_schema`` is each backend's own
-layout version: bumping it retires every stored program of that
-backend without touching the others.
+per-netlist weak cache, the pickle round-trip, and the engine's only
+cache hook, :meth:`Engine.prepare` / :meth:`Engine.finalize`: when a
+caller passes a :class:`repro.service.cache.ResultCache`, a
+freshly-compiled program is stored under ``(fingerprint, engine,
+compile_schema)`` and the next cold process loads it instead of
+recompiling — the one-time compile tax becomes a once-*ever* tax per
+distinct structure.  The rewrite entry points take no cache: they
+use the program ``prepare`` left ready (or compile one in memory).
+Fingerprints are strash-invariant while compiled programs may depend
+on internal net names and gate order, so every serialized program
+carries an exact :func:`netlist_token`; a cache entry whose token
+mismatches the netlist in hand (same structure, different spelling)
+is recompiled rather than mis-served.  ``compile_schema`` is each
+backend's own layout version: bumping it retires every stored program
+of that backend without touching the others.
 """
 
 from __future__ import annotations
@@ -116,23 +117,14 @@ class Engine(abc.ABC):
         output: str,
         trace: bool = False,
         term_limit: Optional[int] = None,
-        compile_cache: Optional[Any] = None,
     ) -> Tuple[ConeExpression, RewriteStats]:
-        """Algorithm 1 on one output cone, in native representation.
-
-        ``compile_cache`` (anything with the ``get_compiled`` /
-        ``put_compiled`` contract of
-        :class:`repro.service.cache.ResultCache`) lets compiling
-        backends load/store their compiled program; non-compiling
-        backends ignore it.
-        """
+        """Algorithm 1 on one output cone, in native representation."""
 
     def rewrite_cones(
         self,
         netlist: Netlist,
         outputs: Iterable[str],
         term_limit: Optional[int] = None,
-        compile_cache: Optional[Any] = None,
         max_bytes: Optional[int] = None,
     ) -> "dict[str, Tuple[ConeExpression, RewriteStats]]":
         """Algorithm 1 on several output cones of one netlist.
@@ -148,18 +140,8 @@ class Engine(abc.ABC):
         fused sweep's live matrix (the out-of-core tier); per-bit
         backends have no single shared matrix and ignore it.
         """
-        # Forward the cache only when one was given, mirroring
-        # :meth:`rewrite`: ad-hoc backends written against the
-        # pre-cache rewrite_cone signature keep working.
-        extra = (
-            {"compile_cache": compile_cache}
-            if compile_cache is not None
-            else {}
-        )
         return {
-            output: self.rewrite_cone(
-                netlist, output, term_limit=term_limit, **extra
-            )
+            output: self.rewrite_cone(netlist, output, term_limit=term_limit)
             for output in outputs
         }
 
@@ -169,32 +151,20 @@ class Engine(abc.ABC):
         output: str,
         trace: bool = False,
         term_limit: Optional[int] = None,
-        compile_cache: Optional[Any] = None,
     ) -> Tuple[Gf2Poly, RewriteStats]:
         """Algorithm 1 with the result decoded to :class:`Gf2Poly`."""
-        # Forward the cache only when one was given: injected ad-hoc
-        # backends written against the pre-cache rewrite_cone
-        # signature keep working as long as no cache is involved.
-        extra = (
-            {"compile_cache": compile_cache}
-            if compile_cache is not None
-            else {}
-        )
         expression, stats = self.rewrite_cone(
-            netlist, output, trace=trace, term_limit=term_limit, **extra
+            netlist, output, trace=trace, term_limit=term_limit
         )
         return expression.decode(), stats
 
-    def prepare(
-        self, netlist: Netlist, compile_cache: Optional[Any] = None
-    ) -> None:
-        """Warm whatever per-netlist state the backend keeps (no-op
-        here; compiling backends ensure their program is ready so that
-        forked workers inherit it copy-on-write)."""
+    def prepare(self, netlist: Netlist, cache: Optional[Any] = None) -> None:
+        """Warm whatever per-netlist state the backend keeps, loading
+        it from / storing it to ``cache`` (no-op here; compiling
+        backends ensure their program is ready so that forked workers
+        inherit it copy-on-write)."""
 
-    def finalize(
-        self, netlist: Netlist, compile_cache: Optional[Any] = None
-    ) -> None:
+    def finalize(self, netlist: Netlist, cache: Optional[Any] = None) -> None:
         """Persist per-netlist state grown during rewriting (no-op
         here; see :meth:`CompilingEngine.finalize`)."""
 
@@ -238,8 +208,7 @@ class CompilingEngine(Engine):
     the program must expose ``n_gates`` for the in-memory staleness
     check and must pickle) and set :attr:`Engine.compile_schema`.
     Everything else — the weak in-process cache, the serialized
-    envelope, token validation, the ``compile_cache`` round-trip — is
-    inherited.
+    envelope, token validation, the cache round-trip — is inherited.
     """
 
     #: Cache key namespace for stored programs.  Defaults to the
@@ -273,19 +242,19 @@ class CompilingEngine(Engine):
         return None
 
     def _compiled_for(
-        self, netlist: Netlist, compile_cache: Optional[Any] = None
+        self, netlist: Netlist, cache: Optional[Any] = None
     ) -> Any:
         compiled = self._compiled.get(netlist)
         if compiled is not None and compiled.n_gates == len(netlist):
             if (
-                compile_cache is not None
+                cache is not None
                 and self._stored_marker.get(netlist, _UNSTORED)
                 is _UNSTORED
             ):
                 # Compiled earlier without any cache in play; a cache
                 # has appeared, so persist the program now — otherwise
                 # "once ever" would silently mean "once per process".
-                self._store(netlist, compiled, compile_cache)
+                self._store(netlist, compiled, cache)
             return compiled
         compiled = None
         # The span covers the cache load *and* the compile: a warm
@@ -293,26 +262,24 @@ class CompilingEngine(Engine):
         with _telemetry.current().span(
             "compile", engine=self.name, gates=len(netlist)
         ) as span:
-            if compile_cache is not None:
-                compiled = self._load_compiled(netlist, compile_cache)
+            if cache is not None:
+                compiled = self._load_compiled(netlist, cache)
             fresh = compiled is None
             if fresh:
                 compiled = self._compile(netlist)
             span.annotate(cached=not fresh)
         self._compiled[netlist] = compiled
-        if compile_cache is not None:
+        if cache is not None:
             if fresh:
-                self._store(netlist, compiled, compile_cache)
+                self._store(netlist, compiled, cache)
             else:
                 self._stored_marker[netlist] = self._program_marker(
                     compiled
                 )
         return compiled
 
-    def _store(
-        self, netlist: Netlist, compiled: Any, compile_cache: Any
-    ) -> None:
-        compile_cache.put_compiled(
+    def _store(self, netlist: Netlist, compiled: Any, cache: Any) -> None:
+        cache.put_compiled(
             netlist,
             self.compile_key or self.name,
             self.compile_schema,
@@ -320,10 +287,8 @@ class CompilingEngine(Engine):
         )
         self._stored_marker[netlist] = self._program_marker(compiled)
 
-    def _load_compiled(
-        self, netlist: Netlist, compile_cache: Any
-    ) -> Optional[Any]:
-        payload = compile_cache.get_compiled(
+    def _load_compiled(self, netlist: Netlist, cache: Any) -> Optional[Any]:
+        payload = cache.get_compiled(
             netlist, self.compile_key or self.name, self.compile_schema
         )
         if payload is None:
@@ -333,9 +298,7 @@ class CompilingEngine(Engine):
             # The read counted as a hit, but the payload was unusable
             # (token mismatch, corruption) and a recompile follows —
             # let the cache's stats reflect that.
-            rejected = getattr(compile_cache, "note_compile_rejected", None)
-            if rejected is not None:
-                rejected()
+            cache.note_compile_rejected()
         return compiled
 
     def serialize_compiled(self, netlist: Netlist, compiled: Any) -> bytes:
@@ -364,21 +327,17 @@ class CompilingEngine(Engine):
             return None
         return compiled
 
-    def prepare(
-        self, netlist: Netlist, compile_cache: Optional[Any] = None
-    ) -> None:
+    def prepare(self, netlist: Netlist, cache: Optional[Any] = None) -> None:
         """Ensure the compiled program exists (loading it from
-        ``compile_cache`` when possible, storing it when fresh)."""
-        self._compiled_for(netlist, compile_cache)
+        ``cache`` when possible, storing it when fresh)."""
+        self._compiled_for(netlist, cache)
 
-    def finalize(
-        self, netlist: Netlist, compile_cache: Optional[Any] = None
-    ) -> None:
+    def finalize(self, netlist: Netlist, cache: Optional[Any] = None) -> None:
         """Re-store the program if rewriting grew it since the last
         store (lazily built cut models travel with the program, so the
         next cold process skips rebuilding them too).  A no-op for
         backends whose programs are complete at compile time."""
-        if compile_cache is None:
+        if cache is None:
             return
         compiled = self._compiled.get(netlist)
         if compiled is None:
@@ -387,4 +346,4 @@ class CompilingEngine(Engine):
         stored = self._stored_marker.get(netlist, _UNSTORED)
         if stored is not _UNSTORED and (marker is None or marker == stored):
             return
-        self._store(netlist, compiled, compile_cache)
+        self._store(netlist, compiled, cache)

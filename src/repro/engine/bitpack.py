@@ -57,7 +57,7 @@ own intermediate representation rather than the reference engine's.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.engine.base import CompilingEngine, ConeExpression, cone_span
 from repro.engine.interning import SignalInterner
@@ -300,11 +300,10 @@ class BitpackEngine(CompilingEngine):
         output: str,
         trace: bool = False,
         term_limit: Optional[int] = None,
-        compile_cache: Optional[Any] = None,
     ) -> Tuple[PackedExpression, RewriteStats]:
         with cone_span(self, output) as span:
             expression, stats = self._rewrite_cone_impl(
-                netlist, output, trace, term_limit, compile_cache
+                netlist, output, trace, term_limit
             )
             span.annotate(
                 iterations=stats.iterations, peak_terms=stats.peak_terms
@@ -318,11 +317,10 @@ class BitpackEngine(CompilingEngine):
         output: str,
         trace: bool,
         term_limit: Optional[int],
-        compile_cache: Optional[Any],
     ) -> Tuple[PackedExpression, RewriteStats]:
         stats = RewriteStats(output=output)
 
-        compiled = self._compiled_for(netlist, compile_cache)
+        compiled = self._compiled_for(netlist)
         models = compiled.models
         position_of = netlist.topological_positions()
         position_get = position_of.get

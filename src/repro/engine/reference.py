@@ -10,7 +10,7 @@ the differential-testing oracle.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.engine.base import ConeExpression, Engine
 from repro.gf2.monomial import Monomial
@@ -51,9 +51,7 @@ class ReferenceEngine(Engine):
         output: str,
         trace: bool = False,
         term_limit: Optional[int] = None,
-        compile_cache: Optional[Any] = None,
     ) -> Tuple[ReferenceExpression, RewriteStats]:
-        del compile_cache  # nothing to compile on this backend
         poly, stats = backward_rewrite(
             netlist,
             output,

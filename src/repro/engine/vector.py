@@ -526,7 +526,6 @@ class VectorEngine(AigEngine):
         output: str,
         trace: bool = False,
         term_limit: Optional[int] = None,
-        compile_cache: Optional[Any] = None,
     ) -> Tuple[PackedExpression, RewriteStats]:
         if _np is None:
             raise EngineError(
@@ -535,7 +534,7 @@ class VectorEngine(AigEngine):
             )
         with cone_span(self, output) as span:
             expression, stats = self._rewrite_cone_matrix(
-                netlist, output, trace, term_limit, compile_cache
+                netlist, output, trace, term_limit
             )
             span.annotate(
                 iterations=stats.iterations, peak_terms=stats.peak_terms
@@ -549,11 +548,10 @@ class VectorEngine(AigEngine):
         output: str,
         trace: bool,
         term_limit: Optional[int],
-        compile_cache: Optional[Any],
     ) -> Tuple[PackedExpression, RewriteStats]:
         stats = RewriteStats(output=output)
 
-        compiled = self._compiled_for(netlist, compile_cache)
+        compiled = self._compiled_for(netlist)
         literal = compiled.net_literal.get(output)
         if literal is None:
             return super().rewrite_cone(
@@ -571,7 +569,6 @@ class VectorEngine(AigEngine):
                 output,
                 trace=trace,
                 term_limit=term_limit,
-                compile_cache=compile_cache,
             )
 
         # Cone-local interning: shared leaf region + one bit per
@@ -714,7 +711,6 @@ class VectorEngine(AigEngine):
         netlist: Netlist,
         outputs: Iterable[str],
         term_limit: Optional[int] = None,
-        compile_cache: Optional[Any] = None,
         max_bytes: Optional[int] = None,
     ) -> Dict[str, Tuple[PackedExpression, RewriteStats]]:
         """All requested cones in one fused substitution sweep.
@@ -745,7 +741,7 @@ class VectorEngine(AigEngine):
                 f"the {backend.name} backend cannot honour max_bytes"
             )
         chosen = list(outputs)
-        compiled = self._compiled_for(netlist, compile_cache)
+        compiled = self._compiled_for(netlist)
         results: Dict[str, Tuple[PackedExpression, RewriteStats]] = {}
         roots: List[Tuple[str, int, int]] = []
         for output in chosen:
@@ -759,7 +755,6 @@ class VectorEngine(AigEngine):
                     netlist,
                     output,
                     term_limit=term_limit,
-                    compile_cache=compile_cache,
                 )
             else:
                 roots.append((output, node, literal & 1))

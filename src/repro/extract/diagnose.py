@@ -120,28 +120,25 @@ def diagnose(
     find_counterexample: bool = True,
     engine: str = "reference",
     cache=None,
-    compile_cache=None,
     fused: bool = False,
     max_bytes=None,
-    cone_cache=None,
 ) -> Diagnosis:
     """Triage a netlist: verified multiplier, buggy, or out of scope.
 
     ``engine`` selects the rewriting backend (see :mod:`repro.engine`);
     the verdict is backend-independent.  ``cache`` (optionally, a
     :class:`repro.service.cache.ResultCache`) is threaded through to
-    the extraction phases — the multiplier *and* squarer branches — so
-    a re-diagnosed structural duplicate never rewrites a gate.
-    ``compile_cache`` is forwarded the same way so a compiling backend
-    skips its one-time netlist compile on known structures (see
-    :func:`~repro.extract.extractor.extract_irreducible_polynomial`);
-    both reach the squarer branch too.  ``fused=True`` runs the
-    extraction as one fused multi-cone sweep (fastest with
-    ``engine="vector"``); the verdict is mode-independent.
-    ``cone_cache`` enables the per-output-cone incremental tier: when
-    a baseline version of this netlist was already extracted, blame
-    analysis of an edited version rewrites only the cones the edit
-    touched (the ECO path — see :mod:`repro.service.eco`).
+    the extraction phases — the multiplier *and* squarer branches —
+    with every tier it has (see
+    :func:`~repro.extract.extractor.extract_irreducible_polynomial`):
+    a re-diagnosed structural duplicate never rewrites a gate, a
+    compiling backend skips its one-time compile on known structures,
+    and when a baseline version of this netlist was already
+    extracted, blame analysis of an edited version rewrites only the
+    cones the edit touched (the ECO path — see
+    :mod:`repro.service.eco`).  ``fused=True`` runs the extraction as
+    one fused multi-cone sweep (fastest with ``engine="vector"``);
+    the verdict is mode-independent.
 
     >>> from repro.gen.mastrovito import generate_mastrovito
     >>> diagnose(generate_mastrovito(0b10011)).verdict.value
@@ -156,11 +153,7 @@ def diagnose(
     if _looks_like_squarer(netlist):
         return finish(
             _diagnose_squarer(
-                netlist,
-                cache=cache,
-                engine=engine,
-                compile_cache=compile_cache,
-                fused=fused,
+                netlist, cache=cache, engine=engine, fused=fused
             )
         )
 
@@ -171,10 +164,8 @@ def diagnose(
             term_limit=term_limit,
             engine=engine,
             cache=cache,
-            compile_cache=compile_cache,
             fused=fused,
             max_bytes=max_bytes,
-            cone_cache=cone_cache,
         )
     except ExtractionError as error:
         return finish(
@@ -267,7 +258,6 @@ def _diagnose_squarer(
     netlist: Netlist,
     cache=None,
     engine: str = "reference",
-    compile_cache=None,
     fused: bool = False,
 ) -> Diagnosis:
     """The squarer branch of the decision tree."""
@@ -278,11 +268,7 @@ def _diagnose_squarer(
 
     try:
         result = extract_squarer_polynomial(
-            netlist,
-            cache=cache,
-            engine=engine,
-            compile_cache=compile_cache,
-            fused=fused,
+            netlist, cache=cache, engine=engine, fused=fused
         )
     except SquarerExtractionError as error:
         return Diagnosis(

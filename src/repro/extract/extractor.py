@@ -153,12 +153,10 @@ def extract_irreducible_polynomial(
     measure_memory: bool = False,
     engine: str = "reference",
     cache=None,
-    compile_cache=None,
     fused: bool = False,
     on_result=None,
     telemetry=None,
     max_bytes=None,
-    cone_cache=None,
 ) -> ExtractionResult:
     """Reverse engineer P(x) from a gate-level GF(2^m) multiplier.
 
@@ -169,15 +167,16 @@ def extract_irreducible_polynomial(
     P(x).
 
     ``cache`` (optionally) is a
-    :class:`repro.service.cache.ResultCache` — or anything with its
-    ``get_extraction`` / ``put_extraction`` contract: a cached result
-    for a structurally identical netlist is returned without rewriting
-    a single gate, and fresh results are stored for the next caller.
-    ``compile_cache`` (typically the same cache) separately persists
-    the *engine's compiled program*: on a result-cache miss a
-    compiling backend (bitpack/aig/vector) then skips its one-time
-    netlist compile whenever the structure was ever compiled before —
-    the service runner passes its cache for both.
+    :class:`repro.service.cache.ResultCache`, and the run uses every
+    tier it has.  A cached result for a structurally identical netlist
+    is returned without rewriting a single gate, and a fresh result
+    (with its verdict sidecar) is stored for the next caller.  On a
+    miss, output cones whose Merkle digests already have stored
+    results are served from the per-cone tier and only the dirty
+    cones are rewritten — the ECO path (:mod:`repro.service.eco`)
+    relies on this to re-audit an edited netlist at ~one-cone cost —
+    and a compiling backend (bitpack/aig/vector) loads its compiled
+    program instead of recompiling a structure it has seen before.
 
     ``fused=True`` extracts all m bits in one fused substitution
     sweep (see :func:`repro.rewrite.parallel.extract_expressions`):
@@ -192,14 +191,6 @@ def extract_irreducible_polynomial(
     and ``telemetry`` selects the :class:`repro.telemetry.Telemetry`
     registry the run's spans and counters land in (default: the
     active one).  A cache hit short-circuits both.
-
-    ``cone_cache`` (typically the same cache again) enables the
-    incremental tier below the whole-netlist cache: on a result-cache
-    miss, output cones whose Merkle digests already have stored
-    results are served from the per-cone cache and only the dirty
-    cones are rewritten — the ECO path
-    (:mod:`repro.service.eco`) relies on this to re-audit an edited
-    netlist at ~one-cone cost.
 
     >>> from repro.gen.mastrovito import generate_mastrovito
     >>> result = extract_irreducible_polynomial(generate_mastrovito(0b10011))
@@ -226,11 +217,10 @@ def extract_irreducible_polynomial(
         measure_memory=measure_memory,
         engine=engine,
         on_result=on_result,
-        compile_cache=compile_cache,
+        cache=cache,
         fused=fused,
         telemetry=telemetry,
         max_bytes=max_bytes,
-        cone_cache=cone_cache,
     )
     result = result_from_run(run, m)
     # Stamp after the Algorithm-2 analysis phase so the total covers

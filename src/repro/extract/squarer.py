@@ -61,23 +61,20 @@ def extract_squarer_polynomial(
     netlist: Netlist,
     cache=None,
     engine: str = "reference",
-    compile_cache=None,
     fused: bool = False,
 ) -> SquarerExtractionResult:
     """Recover P(x) from a gate-level squarer.
 
     ``cache`` (optionally) is a
-    :class:`repro.service.cache.ResultCache` — or anything with its
-    ``get_squarer`` / ``put_squarer`` / ``fingerprint`` contract —
-    keyed, like every other artifact, by the strash-invariant content
-    fingerprint: a structurally identical squarer is answered without
-    rewriting a single gate.
+    :class:`repro.service.cache.ResultCache`, keyed like every other
+    artifact by the strash-invariant content fingerprint: a
+    structurally identical squarer is answered without rewriting a
+    single gate, and on a miss a compiling backend loads or stores its
+    one-time netlist compile there (``engine.prepare``), exactly as on
+    the multiplier path.
 
-    ``engine`` selects the rewriting backend and ``compile_cache``
-    persists its one-time netlist compile, exactly as on the
-    multiplier path — a squarer-heavy campaign no longer pays a full
-    cold compile per design while the multiplier branch rides the
-    cache.  ``fused=True`` rewrites all m bits in one fused sweep
+    ``engine`` selects the rewriting backend.  ``fused=True`` rewrites
+    all m bits in one fused sweep
     (:func:`repro.rewrite.backward.backward_rewrite_multi`).
 
     >>> from repro.gen.squarer import generate_squarer
@@ -109,22 +106,19 @@ def extract_squarer_polynomial(
     # per-bit mode rewrites lazily so a non-squarer fails fast.
     columns = [0] * m
     outputs = [f"z{j}" for j in range(m)]
+    if cache is not None:
+        from repro.engine import get_engine
+
+        get_engine(engine).prepare(netlist, cache)
     if fused:
-        rewritten = backward_rewrite_multi(
-            netlist, outputs, engine=engine, compile_cache=compile_cache
-        )
+        rewritten = backward_rewrite_multi(netlist, outputs, engine=engine)
     else:
         rewritten = None
     for j, output in enumerate(outputs):
         if rewritten is not None:
             poly, _stats = rewritten[output]
         else:
-            poly, _stats = backward_rewrite(
-                netlist,
-                output,
-                engine=engine,
-                compile_cache=compile_cache,
-            )
+            poly, _stats = backward_rewrite(netlist, output, engine=engine)
         for monomial in poly.monomials:
             if len(monomial) != 1:
                 raise SquarerExtractionError(

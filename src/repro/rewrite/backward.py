@@ -88,7 +88,6 @@ def backward_rewrite(
     trace: bool = False,
     term_limit: Optional[int] = None,
     engine: str = "reference",
-    compile_cache=None,
     telemetry=None,
 ) -> Tuple[Gf2Poly, RewriteStats]:
     """Extract the canonical GF(2) expression of one output bit.
@@ -99,15 +98,11 @@ def backward_rewrite(
     :class:`TermLimitExceeded` when the intermediate expression
     explodes, modelling the paper's memory-out condition.  ``engine``
     selects the execution backend (see :mod:`repro.engine`); every
-    backend returns identical results.  ``compile_cache`` (a
-    :class:`repro.service.cache.ResultCache` or anything with its
-    ``get_compiled``/``put_compiled`` contract) lets compiling
-    backends persist their one-time per-netlist compile across
-    processes; the reference backend has nothing to compile and
-    ignores it.  ``telemetry`` selects the
-    :class:`repro.telemetry.Telemetry` registry the run's spans land
-    in (default: the active one); ``runtime_s`` is the cone span's
-    wall time.
+    backend returns identical results (a compiling backend uses the
+    program its ``prepare(netlist, cache)`` left ready).
+    ``telemetry`` selects the :class:`repro.telemetry.Telemetry`
+    registry the run's spans land in (default: the active one);
+    ``runtime_s`` is the cone span's wall time.
 
     >>> from repro.gen.mastrovito import generate_mastrovito
     >>> net = generate_mastrovito(0b111)       # GF(2^2), x^2+x+1
@@ -127,7 +122,6 @@ def backward_rewrite(
                 output,
                 trace=trace,
                 term_limit=term_limit,
-                compile_cache=compile_cache,
             )
     with tel.span("cone", engine="reference", output=output) as span:
         stats = RewriteStats(output=output)
@@ -219,7 +213,6 @@ def backward_rewrite_multi(
     outputs: Optional[List[str]] = None,
     term_limit: Optional[int] = None,
     engine: str = "reference",
-    compile_cache=None,
     telemetry=None,
 ) -> Dict[str, Tuple[Gf2Poly, RewriteStats]]:
     """Multi-root Algorithm 1: every requested cone in one engine call.
@@ -243,7 +236,7 @@ def backward_rewrite_multi(
     chosen = list(outputs) if outputs is not None else list(netlist.outputs)
     with _telemetry.use(_telemetry.resolve(telemetry)):
         cones = get_engine(engine).rewrite_cones(
-            netlist, chosen, term_limit=term_limit, compile_cache=compile_cache
+            netlist, chosen, term_limit=term_limit
         )
     return {
         output: (cone.decode(), stats)

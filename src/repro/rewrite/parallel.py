@@ -133,11 +133,10 @@ class ExtractionRun:
     #: Algorithm 2 and the verifier consult these so packed backends
     #: never decode just to answer a membership/equality question.
     cones: Dict[str, "ConeExpression"] = field(default_factory=dict)
-    #: Where each bit came from when a cone cache was in play:
+    #: Where each bit came from when a cache was in play:
     #: ``"cone_hit"`` (served from the per-cone cache), ``"computed"``
     #: (rewritten this run), or ``"checkpoint"`` (resumed by
-    #: :mod:`repro.service.jobs`).  Empty when no cone cache was
-    #: consulted.
+    #: :mod:`repro.service.jobs`).  Empty when no cache was given.
     cache_provenance: Dict[str, str] = field(default_factory=dict)
 
     def per_bit_runtimes(self) -> List[Tuple[int, float]]:
@@ -168,11 +167,10 @@ def extract_expressions(
     measure_memory: bool = False,
     engine: str = "reference",
     on_result: Optional[ResultHook] = None,
-    compile_cache=None,
+    cache=None,
     fused: bool = False,
     telemetry: Optional["_telemetry.Telemetry"] = None,
     max_bytes: Optional[int] = None,
-    cone_cache=None,
 ) -> ExtractionRun:
     """Extract the canonical GF(2) expression of every output bit.
 
@@ -191,13 +189,23 @@ def extract_expressions(
     the bits still in flight.  The returned run is independent of the
     hook and of completion order.
 
-    ``compile_cache`` is the compiled-program hook of
-    :mod:`repro.service.cache`: the backend's one-time netlist compile
-    is loaded from / stored to the cache *in the coordinating process*
-    before any rewriting starts, so a warm cache collapses the cold
-    first call to near steady-state — and forked workers inherit the
-    prepared program copy-on-write instead of each compiling their
-    own.
+    ``cache`` (a :class:`repro.service.cache.ResultCache`) brings in
+    two of its tiers.  The per-output-cone tier: before dispatch the
+    requested outputs are partitioned by per-cone Merkle digest
+    (:func:`repro.service.fingerprint.cone_fingerprints`) into cached
+    and dirty sets; only the dirty set is rewritten (the fused sweep
+    takes the dirty subset of tags, per-bit jobs skip cached bits),
+    cached bits are served under a ``cone.cached`` span, and freshly
+    computed cones are stored back.  Theorem 1 makes cone results
+    engine-neutral, so any engine serves any engine's entries.  The
+    returned run is bit-identical to a cold run and carries per-bit
+    :attr:`ExtractionRun.cache_provenance`.  The compiled-program
+    tier: the backend's one-time compile of the dirty cones is loaded
+    from / stored to the cache by ``engine.prepare`` *in the
+    coordinating process* before any rewriting starts, so a warm
+    cache collapses the cold first call to near steady-state — and
+    forked workers inherit the prepared program copy-on-write instead
+    of each compiling their own.
 
     ``fused=True`` rewrites every requested cone through the engine's
     multi-root entry point in this process: a backend with a fused
@@ -220,18 +228,6 @@ def extract_expressions(
     out-of-core tier of the ``vector`` engine; ``--max-ram`` on the
     CLI, ``REPRO_SWEEP_MAX_BYTES`` in the environment).  Per-bit runs
     and backends without a fused matrix ignore it.
-
-    ``cone_cache`` is the incremental-verification hook
-    (:class:`repro.service.cache.ResultCache`): before dispatch the
-    requested outputs are partitioned by per-cone Merkle digest
-    (:func:`repro.service.fingerprint.cone_fingerprints`) into cached
-    and dirty sets; only the dirty set is rewritten (the fused sweep
-    takes the dirty subset of tags, per-bit jobs skip cached bits),
-    cached bits are served under a ``cone.cached`` span, and freshly
-    computed cones are stored back.  Theorem 1 makes cone results
-    engine-neutral, so any engine serves any engine's entries.  The
-    returned run is bit-identical to a cold run and carries per-bit
-    :attr:`ExtractionRun.cache_provenance`.
     """
     chosen = list(outputs) if outputs is not None else list(netlist.outputs)
     if fused:
@@ -266,7 +262,7 @@ def extract_expressions(
         dirty = chosen
         cone_digests: Optional[Dict[str, str]] = None
         hit_outputs: List[str] = []
-        if cone_cache is not None and chosen:
+        if cache is not None and chosen:
             from repro.engine.reference import ReferenceExpression
             from repro.service.cache import poly_from_json, stats_from_json
             from repro.service.fingerprint import cone_fingerprints
@@ -277,7 +273,7 @@ def extract_expressions(
                 digest = cone_digests.get(output)
                 if digest is None:
                     continue
-                entry = cone_cache.get_cone(digest)
+                entry = cache.get_cone(digest)
                 if entry is not None:
                     entries[output] = entry
             dirty = [o for o in chosen if o not in entries]
@@ -309,29 +305,19 @@ def extract_expressions(
         if hit_outputs and dirty:
             work = _restrict_to_cones(netlist, dirty)
 
-        if compile_cache is not None and dirty:
+        if cache is not None and dirty:
             # Prepare inside the timed region (the compile is part of
             # this run's cost, cached or not) and in the *coordinating*
             # process, so forked workers inherit the program
             # copy-on-write.  A fully cone-cached run skips the
             # compile entirely — that is the warm ECO path.
-            backend.prepare(work, compile_cache=compile_cache)
+            backend.prepare(work, cache)
 
         if not dirty:
             pass  # every requested cone was served from the cache
         elif fused:
-            # Forward the budget only when one was given: ad-hoc
-            # backends written against the pre-budget rewrite_cones
-            # signature keep working.
-            extra = (
-                {"max_bytes": max_bytes} if max_bytes is not None else {}
-            )
             cones_by_output = backend.rewrite_cones(
-                work,
-                dirty,
-                term_limit=term_limit,
-                compile_cache=compile_cache,
-                **extra,
+                work, dirty, term_limit=term_limit, max_bytes=max_bytes
             )
             for output in dirty:
                 expression, stats = cones_by_output[output]
@@ -378,15 +364,15 @@ def extract_expressions(
                     if on_result is not None:
                         on_result(*item)
 
-        if compile_cache is not None and dirty:
+        if cache is not None and dirty:
             # Persist whatever the program accreted during rewriting
             # (lazily built cut models) so the next cold process
             # inherits it.  Pool workers grow their own forked copies,
             # which the coordinator cannot see — only sequential runs
             # re-store.
-            backend.finalize(work, compile_cache=compile_cache)
+            backend.finalize(work, cache)
 
-        if cone_cache is not None and cone_digests is not None and dirty:
+        if cone_digests is not None and dirty:
             # Store back what this run actually rewrote, decoded to
             # the engine-neutral polynomial form (Theorem 1: every
             # backend produces the same canonical expression, so the
@@ -399,7 +385,7 @@ def extract_expressions(
                 digest = cone_digests.get(output)
                 if digest is None:
                     continue
-                cone_cache.put_cone(
+                cache.put_cone(
                     digest,
                     output,
                     cone.decode(),
@@ -429,7 +415,7 @@ def extract_expressions(
             output: "cone_hit" if output in hit_set else "computed"
             for output, _, _ in results
         }
-        if cone_cache is not None
+        if cache is not None
         else {}
     )
     return ExtractionRun(

@@ -622,28 +622,27 @@ def _run_pipeline(
     cones_reused: Optional[int] = None
     if mode == "diagnose":
         # Re-check the cache: a duplicate submission may have finished
-        # while this job sat in the queue (the extract branch below
-        # guards the same race).
+        # while this job sat in the queue.
         if cache.get_diagnosis(fingerprint) is None:
             diagnosis = diagnose(
-                netlist, jobs=jobs, engine=engine, cone_cache=cache
+                netlist, jobs=jobs, engine=engine, cache=cache
             )
             cache.put_diagnosis(fingerprint, diagnosis)
             if diagnosis.extraction is not None:
                 cones_reused = _count_reused(diagnosis.extraction)
     else:
-        result = cache.get_extraction(fingerprint)
-        if result is None:
-            result = extract_irreducible_polynomial(
-                netlist,
-                jobs=jobs,
-                engine=engine,
-                on_result=progress,
-                telemetry=telemetry,
-                cone_cache=cache,
-            )
-            cache.put_extraction(fingerprint, result)
-            cones_reused = _count_reused(result)
+        # The extractor owns the extraction entry: it answers a
+        # duplicate that finished while this job sat in the queue, and
+        # stores a fresh result exactly once.
+        result = extract_irreducible_polynomial(
+            netlist,
+            jobs=jobs,
+            engine=engine,
+            cache=cache,
+            on_result=progress,
+            telemetry=telemetry,
+        )
+        cones_reused = _count_reused(result)
         if mode == "audit" and cache.get_verification(fingerprint) is None:
             cache.put_verification(
                 fingerprint, verify_multiplier(netlist, result, engine=engine)
@@ -684,28 +683,24 @@ def _make_handler(server: "ReproAPIServer"):
             payload: Dict[str, Any],
             headers: Optional[Dict[str, str]] = None,
         ) -> None:
-            self._last_status = status
             # sort_keys: byte-stable responses for the same state, so
             # CLI/HTTP diffing tools see real changes, not dict churn.
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(status, body, "application/json", headers)
 
-        def _send_text(
-            self, status: int, body: str, content_type: str
+        def _send(
+            self,
+            status: int,
+            body: bytes,
+            content_type: str,
+            headers: Optional[Dict[str, str]] = None,
         ) -> None:
-            self._last_status = status
-            encoded = body.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(encoded)))
-            self.end_headers()
-            self.wfile.write(encoded)
+            """Hold the response for :meth:`_traced` to write."""
+            self._response = (
+                status,
+                body,
+                {"Content-Type": content_type, **(headers or {})},
+            )
 
         def _error(self, status: int, message: str) -> None:
             self._send_json(status, {"error": message})
@@ -713,14 +708,32 @@ def _make_handler(server: "ReproAPIServer"):
         def _traced(self, method: str, route) -> None:
             """Run one request handler inside an ``http.request`` span
             on the server's registry (annotated with the status the
-            handler actually sent)."""
+            handler chose), then write its response.
+
+            The response goes out only after the span has closed: a
+            client acting on the response (detaching a telemetry sink,
+            say) must find this request's span already recorded.
+            """
             url = urlparse(self.path)
-            with _telemetry.use(server.telemetry), server.telemetry.span(
-                "http.request", method=method, path=url.path
-            ) as span:
-                server.telemetry.counter("http.requests")
-                route(url)
-                span.annotate(status=getattr(self, "_last_status", None))
+            self._response = None
+            try:
+                with _telemetry.use(server.telemetry), server.telemetry.span(
+                    "http.request", method=method, path=url.path
+                ) as span:
+                    server.telemetry.counter("http.requests")
+                    route(url)
+                    span.annotate(
+                        status=self._response[0] if self._response else None
+                    )
+            finally:
+                if self._response is not None:
+                    status, body, headers = self._response
+                    self.send_response(status)
+                    for name, value in headers.items():
+                        self.send_header(name, value)
+                    self.send_header("Content-Length", str(len(body)))
+                    self.end_headers()
+                    self.wfile.write(body)
 
         # -- GET --------------------------------------------------------
 
@@ -748,11 +761,11 @@ def _make_handler(server: "ReproAPIServer"):
                     query.get("format", [None])[0],
                     self.headers.get("Accept"),
                 ):
-                    self._send_text(
+                    self._send(
                         200,
                         prometheus.render_prometheus(
                             server.telemetry.metrics()
-                        ),
+                        ).encode("utf-8"),
                         prometheus.CONTENT_TYPE,
                     )
                 else:

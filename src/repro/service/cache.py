@@ -12,48 +12,59 @@ else.  A netlist audited once is audited forever: re-running a
 campaign over the same designs is pure cache traffic, and a synthesized
 or gate-reordered copy of a known netlist hits the same entry.
 
-Layout (all JSON, all written atomically)::
+Layout (every file written atomically)::
 
     $REPRO_CACHE_DIR/                   default: ~/.cache/repro
       v1/                               CACHE_SCHEMA_VERSION
         extraction/<aa>/<fingerprint>.json
+        extraction/<aa>/<fingerprint>.sum  (Algorithm-2 verdict sidecar)
         verification/<aa>/<fingerprint>.json
         diagnosis/<aa>/<fingerprint>.json
         squarer/<aa>/<fingerprint>.json
         cone/<aa>/<cone digest>.json       (per-output-cone results)
+        compiled/<aa>/<fingerprint>.<engine>.s<N>.bin
+                                           (compiled engine programs)
+        files/<aa>/<path digest>.json      (file -> fingerprint memo)
+        quarantine/<kind>.<file name>      (undecodable entries)
         jobs/<fingerprint>.jsonl           (checkpoints; repro.service.jobs)
 
-where ``<aa>`` is a two-hex-digit shard of the fingerprint digest (so
-no directory grows unboundedly).  Entries carry the schema version and
-their kind inline; a schema bump changes the directory, so stale
+where ``<aa>`` is a two-hex-digit shard of the key digest (so no
+directory grows unboundedly).  JSON entries carry the schema version
+and their kind inline; a schema bump changes the directory, so stale
 entries are never *misread* — they are simply invisible until
 ``clear()`` reclaims them.
 
-The artifact population is bounded by an optional entry budget
-(``REPRO_CACHE_MAX_ENTRIES`` or the ``max_entries`` constructor
-argument) and an optional size-in-bytes budget
-(``REPRO_CACHE_MAX_BYTES`` / ``max_bytes``): every ``put`` past either
+Every kind is read by one code path and written by another
+(:meth:`ResultCache._read` / :meth:`ResultCache._write`); what differs
+between kinds — the key→path rule, JSON or opaque bytes, and whether
+an I/O error is a miss or is raised — is one row of ``_TIERS``.
+
+The artifact population (the ``.json`` results and ``.bin`` programs;
+not the sidecars, file memos or checkpoints) is bounded by an optional
+entry budget (``REPRO_CACHE_MAX_ENTRIES`` or the ``max_entries``
+constructor argument) and an optional size-in-bytes budget
+(``REPRO_CACHE_MAX_BYTES`` / ``max_bytes``): every write past either
 budget evicts the oldest-mtime entries (:meth:`ResultCache.prune`,
 also exposed as ``repro cache prune``), and the session's
 hit/miss/evict counters appear in ``repro cache stats``.  Every
 counter bump also mirrors into the active :mod:`repro.telemetry`
 registry (``cache.hit`` / ``cache.miss`` / ``cache.put`` /
-``cache.evict`` / ``cache.compile_hit`` / ``cache.compile_miss``),
-which is what the HTTP API's ``GET /metrics`` endpoint scrapes.
+``cache.evict`` / ``cache.compile_hit`` / ``cache.compile_miss`` /
+``cache.cone_hit`` / ``cache.cone_miss`` / ``cache.corrupt``), which
+is what the HTTP API's ``GET /metrics`` endpoint scrapes.
 
 Compiled programs
 -----------------
 Besides the JSON artifacts, the cache stores the **compiled programs**
-of the rewriting engines (``compiled/<aa>/<fingerprint>.<engine>.s<N>.bin``)
-— the pickled per-netlist structures a compiling backend (bitpack,
-aig, vector) builds before its first rewrite.  Entries are keyed by
-``(fingerprint, engine compile key, engine compile schema)``: a schema
-bump changes the file name, so stale layouts are never loaded, and the
-engine layer additionally validates an exact-netlist token inside the
-payload (see :class:`repro.engine.base.CompilingEngine`).  Compiled
-blobs count against both budgets and are evicted like any artifact.
-They are pickles: treat the cache directory with the trust you would
-give any local build cache.
+of the rewriting engines — the pickled per-netlist structures a
+compiling backend (bitpack, aig, vector) builds before its first
+rewrite.  Entries are keyed by ``(fingerprint, engine compile key,
+engine compile schema)``: a schema bump changes the file name, so
+stale layouts are never loaded, and the engine layer additionally
+validates an exact-netlist token inside the payload (see
+:class:`repro.engine.base.CompilingEngine`).  They are pickles: treat
+the cache directory with the trust you would give any local build
+cache.
 
 Decoded polynomials are stored as sorted lists of sorted variable
 lists (the canonical set-of-monomials form), so cached expressions are
@@ -67,6 +78,7 @@ import json
 import os
 import shutil
 import time
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,7 +91,7 @@ from repro.extract.diagnose import Diagnosis, Verdict
 from repro.extract.extractor import ExtractionResult
 from repro.extract.verify import VerificationReport
 from repro.gf2.polynomial import Gf2Poly
-from repro.ioutil import atomic_write_bytes, atomic_write_text
+from repro.ioutil import atomic_write_bytes
 from repro.netlist.netlist import Netlist
 from repro.rewrite.backward import RewriteStats
 from repro.rewrite.parallel import ExtractionRun, LazyExpressions
@@ -107,16 +119,20 @@ CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 #: The JSON artifact kinds the cache stores.
 KINDS = ("extraction", "verification", "diagnosis", "squarer")
 
-#: Binary compiled-program entries (see the module docstring); listed
-#: separately from :data:`KINDS` because they are pickles, not JSON.
+#: Binary compiled-program entries (see the module docstring).
 COMPILED_KIND = "compiled"
 
 #: Per-output-cone results, keyed by cone digest (not netlist
 #: fingerprint — the whole point is that a cone entry survives edits
-#: to the *rest* of the netlist).  Listed separately from
-#: :data:`KINDS` because its key space and payload shape differ; it
-#: is budgeted/evicted/quarantined exactly like the other kinds.
+#: to the *rest* of the netlist).
 CONE_KIND = "cone"
+
+
+def _path_digest(path: Union[str, os.PathLike]) -> str:
+    """Key of a file's fingerprint memo: its absolute path, hashed."""
+    return hashlib.sha256(
+        os.fsdecode(os.path.abspath(path)).encode("utf-8")
+    ).hexdigest()
 
 
 def default_cache_dir() -> Path:
@@ -128,7 +144,7 @@ def default_cache_dir() -> Path:
 
 
 # ----------------------------------------------------------------------
-# JSON codec for the three artifact kinds
+# JSON codec for the artifact kinds
 # ----------------------------------------------------------------------
 
 def poly_to_json(poly: Gf2Poly) -> List[List[str]]:
@@ -353,6 +369,61 @@ _DECODERS = {
 }
 
 
+@dataclass(frozen=True)
+class _Tier:
+    """What sets one kind of stored file apart from the others.
+
+    ``schema`` is the version a JSON file must carry (``None``: opaque
+    bytes, no schema).  ``envelope`` files wrap their payload in a
+    header (schema, kind, ``key_field``, creation time), pass the
+    ``cache.get``/``cache.put`` chaos sites and count ``cache.put``.
+    A ``lenient`` kind is an optimization consulted inside a larger
+    job: an I/O error reading it is a miss and one writing it is
+    dropped, where a strict kind raises (retryable by the supervision
+    layer).  ``counter`` names the session counters
+    (``cache.<counter>hit`` / ``cache.<counter>miss``) of a budgeted
+    artifact; ``None`` marks a side record that is neither counted,
+    budgeted nor walked by :meth:`ResultCache.stats`/``prune``.
+    """
+
+    directory: str
+    suffix: str = ".json"
+    schema: Optional[int] = CACHE_SCHEMA_VERSION
+    envelope: bool = True
+    lenient: bool = False
+    counter: Optional[str] = ""
+    key_field: str = "fingerprint"
+
+
+#: Every kind of file the cache keeps.  Paths are uniform:
+#: ``v<N>/<directory>/<aa>/<key><variant><suffix>``, where the
+#: variant names a compiled program's engine and compile schema.
+_TIERS: Dict[str, _Tier] = {
+    **{kind: _Tier(kind) for kind in KINDS},
+    CONE_KIND: _Tier(
+        CONE_KIND, lenient=True, counter="cone_", key_field="cone"
+    ),
+    COMPILED_KIND: _Tier(
+        COMPILED_KIND,
+        suffix=".bin",
+        schema=None,
+        envelope=False,
+        lenient=True,
+        counter="compile_",
+    ),
+    # Algorithm 2's verdict alone, beside the extraction entry.
+    "summary": _Tier(
+        "extraction", suffix=".sum", envelope=False, lenient=True,
+        counter=None,
+    ),
+    # (absolute path digest) -> stat-validated netlist fingerprint.
+    "file": _Tier(
+        "files", schema=FINGERPRINT_SCHEMA, envelope=False, lenient=True,
+        counter=None,
+    ),
+}
+
+
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
@@ -409,10 +480,11 @@ class CacheStats:
 
 
 class ResultCache:
-    """Content-addressed store for extraction/verification/diagnosis.
+    """Content-addressed store for every artifact of the pipeline.
 
-    Keys are netlist fingerprints; a :class:`~repro.netlist.netlist.Netlist`
-    is accepted anywhere a key is and fingerprinted on the fly.
+    Keys are netlist fingerprints (cone digests for the cone tier); a
+    :class:`~repro.netlist.netlist.Netlist` is accepted anywhere a key
+    is and fingerprinted on the fly.
     Concurrent writers are safe: entries are immutable by construction
     (same key ⟹ same payload) and every write is an atomic replace.
 
@@ -436,13 +508,9 @@ class ResultCache:
     ):
         self.root = Path(root) if root is not None else default_cache_dir()
         self.version_dir = self.root / f"v{CACHE_SCHEMA_VERSION}"
-        self.hits = 0
-        self.misses = 0
+        #: This session's lookup outcomes, by telemetry counter name.
+        self._tallies: Counter = Counter()
         self.evictions = 0
-        self.compile_hits = 0
-        self.compile_misses = 0
-        self.cone_hits = 0
-        self.cone_misses = 0
         self.corrupt = 0
         if max_entries is None:
             max_entries = self._int_env(CACHE_MAX_ENTRIES_ENV)
@@ -453,7 +521,7 @@ class ResultCache:
         #: Artifact-bytes budget; ``None``/``0`` disables eviction.
         self.max_bytes = max_bytes or None
         #: Approximate on-disk artifact count/bytes, seeded by the
-        #: first budgeted ``put`` and corrected by every :meth:`prune`
+        #: first budgeted write and corrected by every :meth:`prune`
         #: scan — so a long fill pays one directory walk per eviction
         #: batch, not one per write.  Concurrent writers can make them
         #: drift low, which only delays eviction until the next scan.
@@ -462,6 +530,15 @@ class ResultCache:
         self._fingerprint_memo: "WeakKeyDictionary[Netlist, Tuple[int, str]]" = (
             WeakKeyDictionary()
         )
+
+    hits = property(lambda self: self._tallies["cache.hit"])
+    misses = property(lambda self: self._tallies["cache.miss"])
+    compile_hits = property(lambda self: self._tallies["cache.compile_hit"])
+    compile_misses = property(
+        lambda self: self._tallies["cache.compile_miss"]
+    )
+    cone_hits = property(lambda self: self._tallies["cache.cone_hit"])
+    cone_misses = property(lambda self: self._tallies["cache.cone_miss"])
 
     @staticmethod
     def _int_env(variable: str) -> Optional[int]:
@@ -501,102 +578,77 @@ class ResultCache:
         accesses on this netlist object never re-hash it."""
         self._fingerprint_memo[netlist] = (len(netlist), fingerprint)
 
-    def path_for(self, kind: str, key: Union[str, Netlist]) -> Path:
+    def _path(
+        self, kind: str, key: Union[str, Netlist], variant: str = ""
+    ) -> Path:
+        """Where a ``kind`` file for ``key`` lives (see ``_TIERS``)."""
+        tier = _TIERS[kind]
+        fingerprint = self.fingerprint(key)
+        shard = fingerprint.rsplit("-", 1)[-1][:2]
+        return (
+            self.version_dir
+            / tier.directory
+            / shard
+            / f"{fingerprint}{variant}{tier.suffix}"
+        )
+
+    @staticmethod
+    def _check_kind(kind: str) -> None:
         if kind not in KINDS:
             raise ValueError(f"unknown artifact kind {kind!r}")
-        fingerprint = self.fingerprint(key)
-        digest = fingerprint.rsplit("-", 1)[-1]
-        return self.version_dir / kind / digest[:2] / f"{fingerprint}.json"
+
+    def path_for(self, kind: str, key: Union[str, Netlist]) -> Path:
+        self._check_kind(kind)
+        return self._path(kind, key)
 
     def jobs_dir(self) -> Path:
         """Directory for extraction checkpoints (repro.service.jobs)."""
         return self.version_dir / "jobs"
 
-    # -- file fingerprint memo ------------------------------------------
-    #
-    # Fingerprinting is content-addressed, but campaigns address
-    # netlists by *file*; re-parsing and re-strashing a file whose
-    # bytes have not changed just to recompute a known fingerprint
-    # would dominate warm reruns.  The memo maps (absolute path,
-    # mtime_ns, size) -> fingerprint, so a warm hit never opens the
-    # netlist at all.  Any stat change invalidates the memo entry and
-    # falls back to a full fingerprint.
+    # -- the one read path and the one write path -----------------------
 
-    def _file_memo_path(self, path: Union[str, os.PathLike]) -> Path:
-        digest = hashlib.sha256(
-            os.fsdecode(os.path.abspath(path)).encode("utf-8")
-        ).hexdigest()
-        return self.version_dir / "files" / digest[:2] / f"{digest}.json"
+    def _read(self, kind: str, path: Path) -> Optional[Any]:
+        """Open and decode one stored file.
 
-    def file_fingerprint(
-        self, path: Union[str, os.PathLike]
-    ) -> Optional[Dict[str, Any]]:
-        """The memoized ``{"fingerprint", "gates"}`` (plus ``"cones"``
-        when recorded — see :meth:`remember_file`) for an unchanged
-        file, or None when unseen/stale/unreadable."""
+        Returns the JSON document (the raw bytes of a schema-less
+        kind), or ``None`` when the file is absent, unreadable by a
+        lenient kind, undecodable or of another schema.  An
+        undecodable file is quarantined: left in place it would be a
+        *permanent* miss for its key.
+        """
+        tier = _TIERS[kind]
         try:
-            stat = os.stat(path)
-        except OSError:
+            if tier.envelope:
+                # Chaos site: a transient read failure is retryable by
+                # the supervision layer, unlike the corrupt-entry path
+                # below, which is a deterministic fact about the disk.
+                _chaos.get_chaos().io_error(where=f"cache.get {kind}")
+            data = path.read_bytes()
+        except FileNotFoundError:
             return None
-        memo_path = self._file_memo_path(path)
+        except OSError:
+            if tier.lenient:
+                return None
+            raise
+        if tier.schema is None:
+            return data
         try:
-            with open(memo_path, "r", encoding="utf-8") as handle:
-                memo = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
+            document = json.loads(data)
+        except ValueError:
+            self._quarantine_corrupt(kind, path)
             return None
         if (
-            memo.get("mtime_ns") != stat.st_mtime_ns
-            or memo.get("size") != stat.st_size
-            or memo.get("schema") != FINGERPRINT_SCHEMA
+            not isinstance(document, dict)
+            or document.get("schema") != tier.schema
         ):
-            # A schema bump stales every memo: the recorded fingerprint
-            # was computed under the old canonical form and would stop
-            # structurally identical designs from deduplicating.
             return None
-        return memo
+        return document
 
-    def remember_file(
-        self,
-        path: Union[str, os.PathLike],
-        fingerprint: str,
-        gates: Optional[int] = None,
-        stat: Optional[os.stat_result] = None,
-        cones: Optional[Dict[str, str]] = None,
-    ) -> None:
-        """Record a file's fingerprint against its stat.
-
-        Pass the ``stat`` taken *before* reading the file; statting
-        here, after the parse, would memoize the old content's
-        fingerprint against the stat of a concurrent overwrite.
-
-        ``cones`` optionally records the per-output-cone digests
-        (:func:`repro.service.fingerprint.cone_fingerprints`) so a
-        repeated ECO diff against an unchanged file skips the strash
-        entirely — the memo hit already carries every cone digest.
-        """
-        if stat is None:
-            try:
-                stat = os.stat(path)
-            except OSError:
-                return
-        memo_path = self._file_memo_path(path)
-        memo_path.parent.mkdir(parents=True, exist_ok=True)
-        memo = {
-            "path": os.fsdecode(os.path.abspath(path)),
-            "mtime_ns": stat.st_mtime_ns,
-            "size": stat.st_size,
-            "schema": FINGERPRINT_SCHEMA,
-            "fingerprint": fingerprint,
-            "gates": gates,
-        }
-        if cones is not None:
-            memo["cones"] = cones
-        atomic_write_text(memo_path, json.dumps(memo))
-
-    # -- generic get/put ------------------------------------------------
-
-    def get(self, kind: str, key: Union[str, Netlist]) -> Optional[Any]:
-        """Load and decode an artifact; None (and a miss) if absent.
+    def _lookup(
+        self, kind: str, key: Union[str, Netlist], variant: str = ""
+    ) -> Optional[Any]:
+        """:meth:`_read` an artifact, counted as a hit or miss; returns
+        its decoded payload.
 
         Every lookup — hit or miss — lands in the ``cache.lookup``
         latency histogram: the distribution (not the average) is what
@@ -605,57 +657,73 @@ class ResultCache:
         """
         started = time.perf_counter()
         try:
-            path = self.path_for(kind, key)
-            # Chaos site: a transient read failure here is retryable
-            # by the supervision layer, unlike the corrupt-entry path
-            # below, which is a deterministic fact about the disk.
-            _chaos.get_chaos().io_error(where=f"cache.get {kind}")
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-            except FileNotFoundError:
-                self.misses += 1
-                _telemetry.current().counter("cache.miss")
-                return None
-            except json.JSONDecodeError:
-                self._quarantine_corrupt(kind, path)
-                self.misses += 1
-                _telemetry.current().counter("cache.miss")
-                return None
-            if entry.get("schema") != CACHE_SCHEMA_VERSION:
-                self.misses += 1
-                _telemetry.current().counter("cache.miss")
-                return None
-            self.hits += 1
-            _telemetry.current().counter("cache.hit")
-            return _DECODERS[kind](entry["payload"])
+            tier = _TIERS[kind]
+            found = self._read(kind, self._path(kind, key, variant))
+            outcome = "miss" if found is None else "hit"
+            self._tally(f"cache.{tier.counter}{outcome}")
+            if found is None or not tier.envelope:
+                return found
+            decode = _DECODERS.get(kind)
+            return decode(found["payload"]) if decode else found["payload"]
         finally:
             _telemetry.current().observe(
                 "cache.lookup", time.perf_counter() - started
             )
 
-    def put(self, kind: str, key: Union[str, Netlist], artifact: Any) -> Path:
-        """Encode and atomically store an artifact; returns its path."""
-        fingerprint = self.fingerprint(key)  # once: strash+hash is O(n)
-        path = self.path_for(kind, fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "kind": kind,
-            "fingerprint": fingerprint,
-            "created_unix": time.time(),
-            "payload": _ENCODERS[kind](artifact),
-        }
-        replaced = self._size_before_write(path)
-        chaos = _chaos.get_chaos()
-        chaos.io_error(where=f"cache.put {kind}")
-        payload = json.dumps(entry, indent=1, sort_keys=True).encode("utf-8")
-        # Chaos site: deterministically mangled payloads exercise the
-        # corrupt-entry quarantine on the next read of this key.
-        payload = chaos.corrupt(payload, key=f"{kind}:{fingerprint}")
-        atomic_write_bytes(path, payload)
-        _telemetry.current().counter("cache.put")
-        self._after_budgeted_write(path, replaced)
+    def _tally(self, counter: str, amount: int = 1) -> None:
+        self._tallies[counter] += amount
+        _telemetry.current().counter(counter, amount)
+
+    def _write(
+        self,
+        kind: str,
+        key: Union[str, Netlist],
+        value: Any,
+        variant: str = "",
+    ) -> Path:
+        """Encode and atomically store one file; returns its path.
+
+        An envelope kind's payload is encoded and wrapped in its
+        header; a budgeted kind updates the eviction estimates.  A
+        lenient kind's failed write is dropped: it is written per bit
+        or per file inside a larger job, which losing one cache entry
+        must not abort (and force a retry of).
+        """
+        tier = _TIERS[kind]
+        key = self.fingerprint(key)  # once: strash+hash is O(n)
+        path = self._path(kind, key, variant)
+        budgeted = tier.counter is not None
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            replaced = self._size_before_write(path) if budgeted else None
+            if tier.schema is None:
+                data = value
+            elif tier.envelope:
+                encode = _ENCODERS.get(kind)
+                entry = {
+                    "schema": tier.schema,
+                    "kind": kind,
+                    tier.key_field: key,
+                    "created_unix": time.time(),
+                    "payload": encode(value) if encode else value,
+                }
+                chaos = _chaos.get_chaos()
+                chaos.io_error(where=f"cache.put {kind}")
+                data = json.dumps(entry, indent=1, sort_keys=True)
+                # Chaos site: deterministically mangled payloads
+                # exercise the quarantine on the next read of this key.
+                data = chaos.corrupt(data.encode("utf-8"), key=f"{kind}:{key}")
+            else:
+                data = json.dumps(value, sort_keys=True).encode("utf-8")
+            atomic_write_bytes(path, data)
+        except OSError:
+            if tier.lenient:
+                return path
+            raise
+        if tier.envelope:
+            _telemetry.current().counter("cache.put")
+        if budgeted:
+            self._after_budgeted_write(path, replaced)
         return path
 
     def _size_before_write(self, path: Path) -> Optional[int]:
@@ -705,15 +773,9 @@ class ResultCache:
         return self.version_dir / "quarantine"
 
     def _quarantine_corrupt(self, kind: str, path: Path) -> None:
-        """Move an undecodable entry out of the artifact tree.
-
-        A corrupted entry left in place is a *permanent* miss for its
-        key — every future ``get`` re-reads the garbage, fails to
-        decode, and the recomputed artifact never overwrites it unless
-        the caller happens to ``put``.  Moving it to ``quarantine/``
-        turns the next lookup into a clean miss (so the recompute
-        lands normally) while keeping the bytes for diagnosis.
-        """
+        """Move an undecodable file out of the artifact tree, so the
+        next lookup is a clean miss (and the recompute lands
+        normally) while the bytes stay available for diagnosis."""
         target = self.quarantine_dir() / f"{kind}.{path.name}"
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -726,250 +788,21 @@ class ResultCache:
         self.corrupt += 1
         _telemetry.current().counter("cache.corrupt")
 
-    def contains(self, kind: str, key: Union[str, Netlist]) -> bool:
-        """Presence test without decoding (does not count hit/miss)."""
-        return self.path_for(kind, key).exists()
+    # -- netlist-level JSON artifacts -------------------------------------
+
+    def get(self, kind: str, key: Union[str, Netlist]) -> Optional[Any]:
+        """Load and decode an artifact; None (and a miss) if absent."""
+        self._check_kind(kind)
+        return self._lookup(kind, key)
+
+    def put(self, kind: str, key: Union[str, Netlist], artifact: Any) -> Path:
+        """Encode and atomically store an artifact; returns its path."""
+        self._check_kind(kind)
+        return self._write(kind, key, artifact)
 
     def get_raw(self, kind: str, key: Union[str, Netlist]) -> Optional[Dict]:
         """The raw JSON entry (for the HTTP API's ``full`` view)."""
-        path = self.path_for(kind, key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
-
-    # -- compiled engine programs ---------------------------------------
-
-    def compiled_path_for(
-        self, key: Union[str, Netlist], engine: str, schema: Optional[int]
-    ) -> Path:
-        """Location of one engine's compiled program for a netlist.
-
-        The engine compile key and its compile schema are part of the
-        file name, so a schema bump retires that engine's programs
-        without touching any other entry.
-        """
-        fingerprint = self.fingerprint(key)
-        digest = fingerprint.rsplit("-", 1)[-1]
-        return (
-            self.version_dir
-            / COMPILED_KIND
-            / digest[:2]
-            / f"{fingerprint}.{engine}.s{schema}.bin"
-        )
-
-    def get_compiled(
-        self, key: Union[str, Netlist], engine: str, schema: Optional[int]
-    ) -> Optional[bytes]:
-        """The stored compiled-program payload, or ``None`` (a miss).
-
-        The payload is returned as opaque bytes; deserialization and
-        exact-netlist validation belong to the engine layer
-        (:class:`repro.engine.base.CompilingEngine`).
-        """
-        started = time.perf_counter()
-        try:
-            path = self.compiled_path_for(key, engine, schema)
-            try:
-                payload = path.read_bytes()
-            except OSError:
-                self.compile_misses += 1
-                _telemetry.current().counter("cache.compile_miss")
-                return None
-            self.compile_hits += 1
-            _telemetry.current().counter("cache.compile_hit")
-            return payload
-        finally:
-            _telemetry.current().observe(
-                "cache.lookup", time.perf_counter() - started
-            )
-
-    def note_compile_rejected(self) -> None:
-        """Reclassify the last compiled read as a miss.
-
-        The engine layer validates the payload (exact-netlist token,
-        unpickling) *after* :meth:`get_compiled` returned it; a
-        rejected program forced a full recompile, and the stats must
-        say so or a token-mismatch churn looks like a 100% hit rate.
-        """
-        self.compile_hits -= 1
-        self.compile_misses += 1
-        telemetry = _telemetry.current()
-        telemetry.counter("cache.compile_hit", -1)
-        telemetry.counter("cache.compile_miss")
-
-    def put_compiled(
-        self,
-        key: Union[str, Netlist],
-        engine: str,
-        schema: Optional[int],
-        payload: bytes,
-    ) -> Path:
-        """Atomically store one engine's compiled program."""
-        path = self.compiled_path_for(key, engine, schema)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        replaced = self._size_before_write(path)
-        atomic_write_bytes(path, payload)
-        self._after_budgeted_write(path, replaced)
-        return path
-
-    # -- per-output-cone results ----------------------------------------
-    #
-    # Theorem 1 of the paper makes each output bit's canonical
-    # expression unique and backend-independent, so a cone result is
-    # engine-neutral: it is keyed only by the cone digest
-    # (repro.service.fingerprint.cone_fingerprints — a Merkle hash of
-    # the output's transitive fan-in), and any engine may serve or
-    # store it.  Engine identity and compile schema are *recorded* in
-    # the payload as provenance, and the optional compiled-program
-    # fragment for a cone IS engine/schema-keyed, mirroring the
-    # netlist-level compiled kind.
-
-    def cone_path_for(self, digest: str) -> Path:
-        """Location of one output cone's cached result."""
-        return self.version_dir / CONE_KIND / digest[:2] / f"{digest}.json"
-
-    def get_cone(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The cached cone payload, or ``None`` (a miss).
-
-        The payload is the raw JSON dict: ``output``, ``expression``
-        (``poly_to_json`` form), ``stats`` (``stats_to_json`` form),
-        plus ``engine``/``compile_schema`` provenance.  Decoding to a
-        backend expression belongs to the extraction driver.
-        """
-        started = time.perf_counter()
-        try:
-            path = self.cone_path_for(digest)
-            try:
-                _chaos.get_chaos().io_error(where=f"cache.get {CONE_KIND}")
-                with open(path, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-            except OSError:
-                # Any unreadable entry — missing, or a flaky read —
-                # is a miss: the driver recomputes the cone.  Reads
-                # happen per bit inside extraction, so propagating
-                # would abort (and retry) the whole design for an
-                # artifact that is purely an optimization.
-                self.cone_misses += 1
-                _telemetry.current().counter("cache.cone_miss")
-                return None
-            except json.JSONDecodeError:
-                self._quarantine_corrupt(CONE_KIND, path)
-                self.cone_misses += 1
-                _telemetry.current().counter("cache.cone_miss")
-                return None
-            if entry.get("schema") != CACHE_SCHEMA_VERSION:
-                self.cone_misses += 1
-                _telemetry.current().counter("cache.cone_miss")
-                return None
-            self.cone_hits += 1
-            _telemetry.current().counter("cache.cone_hit")
-            return entry["payload"]
-        finally:
-            _telemetry.current().observe(
-                "cache.lookup", time.perf_counter() - started
-            )
-
-    def put_cone(
-        self,
-        digest: str,
-        output: str,
-        expression: Gf2Poly,
-        stats: RewriteStats,
-        engine: Optional[str] = None,
-        compile_schema: Optional[int] = None,
-    ) -> Path:
-        """Atomically store one output cone's result (best-effort).
-
-        A failed store is swallowed: population happens per bit
-        inside extraction, and losing one cache entry must not abort
-        (and force a retry of) the surrounding design.
-        """
-        path = self.cone_path_for(digest)
-        entry = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "kind": CONE_KIND,
-            "cone": digest,
-            "created_unix": time.time(),
-            "payload": {
-                "output": output,
-                "expression": poly_to_json(expression),
-                "stats": stats_to_json(stats),
-                "engine": engine,
-                "compile_schema": compile_schema,
-            },
-        }
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            replaced = self._size_before_write(path)
-            chaos = _chaos.get_chaos()
-            chaos.io_error(where=f"cache.put {CONE_KIND}")
-            payload = json.dumps(
-                entry, indent=1, sort_keys=True
-            ).encode("utf-8")
-            payload = chaos.corrupt(payload, key=f"{CONE_KIND}:{digest}")
-            atomic_write_bytes(path, payload)
-        except OSError:
-            return path
-        _telemetry.current().counter("cache.put")
-        self._after_budgeted_write(path, replaced)
-        return path
-
-    def cone_compiled_path_for(
-        self, digest: str, engine: str, schema: Optional[int]
-    ) -> Path:
-        """Location of one engine's compiled fragment for a cone.
-
-        Like :meth:`compiled_path_for`, the engine and its compile
-        schema are part of the file name, so a schema bump retires
-        that engine's fragments without touching the cone results.
-        """
-        return (
-            self.version_dir
-            / CONE_KIND
-            / digest[:2]
-            / f"{digest}.{engine}.s{schema}.bin"
-        )
-
-    def get_cone_compiled(
-        self, digest: str, engine: str, schema: Optional[int]
-    ) -> Optional[bytes]:
-        """A cone's stored compiled fragment (opaque bytes), or None."""
-        path = self.cone_compiled_path_for(digest, engine, schema)
-        try:
-            payload = path.read_bytes()
-        except OSError:
-            self.compile_misses += 1
-            _telemetry.current().counter("cache.compile_miss")
-            return None
-        self.compile_hits += 1
-        _telemetry.current().counter("cache.compile_hit")
-        return payload
-
-    def put_cone_compiled(
-        self,
-        digest: str,
-        engine: str,
-        schema: Optional[int],
-        payload: bytes,
-    ) -> Path:
-        """Atomically store one engine's compiled fragment for a cone.
-
-        Best-effort like :meth:`put_cone`: a failed store is never
-        worth aborting the extraction that produced the fragment.
-        """
-        path = self.cone_compiled_path_for(digest, engine, schema)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            replaced = self._size_before_write(path)
-            atomic_write_bytes(path, payload)
-        except OSError:
-            return path
-        self._after_budgeted_write(path, replaced)
-        return path
-
-    # -- typed convenience ----------------------------------------------
+        return self._read(kind, self.path_for(kind, key))
 
     def get_extraction(self, key) -> Optional[ExtractionResult]:
         return self.get("extraction", key)
@@ -982,28 +815,17 @@ class ResultCache:
         # Keyed by content fingerprint it can never go stale; an
         # evicted main entry may strand a (tiny) sidecar, which is why
         # readers must pair it with their own freshness evidence.
-        path = self.extraction_summary_path(key)
-        try:
-            atomic_write_text(
-                path,
-                json.dumps(
-                    {
-                        "schema": CACHE_SCHEMA_VERSION,
-                        "modulus": result.modulus,
-                        "m": result.m,
-                        "irreducible": result.irreducible,
-                        "member_bits": list(result.member_bits),
-                    },
-                    sort_keys=True,
-                ),
-            )
-        except OSError:
-            # Best-effort: the sidecar only accelerates repeat
-            # re-audits; the main entry above already landed.
-            pass
-
-    def extraction_summary_path(self, key) -> Path:
-        return self.path_for("extraction", key).with_suffix(".sum")
+        self._write(
+            "summary",
+            key,
+            {
+                "schema": CACHE_SCHEMA_VERSION,
+                "modulus": result.modulus,
+                "m": result.m,
+                "irreducible": result.irreducible,
+                "member_bits": list(result.member_bits),
+            },
+        )
 
     def get_extraction_summary(self, key) -> Optional[Dict[str, Any]]:
         """The verdict sidecar of a stored extraction, or None.
@@ -1015,16 +837,7 @@ class ResultCache:
         alongside independent evidence the result is still servable
         (the ECO path requires every cone entry to be present).
         """
-        try:
-            with open(
-                self.extraction_summary_path(key), "r", encoding="utf-8"
-            ) as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        if data.get("schema") != CACHE_SCHEMA_VERSION:
-            return None
-        return data
+        return self._read("summary", self._path("summary", key))
 
     def get_verification(self, key) -> Optional[VerificationReport]:
         return self.get("verification", key)
@@ -1044,35 +857,185 @@ class ResultCache:
     def put_squarer(self, key, result) -> None:
         self.put("squarer", key, result)
 
+    # -- compiled engine programs ---------------------------------------
+    #
+    # The engine compile key and its compile schema are part of the
+    # file name, so a schema bump retires that engine's programs
+    # without touching any other entry.  Payloads are opaque bytes;
+    # deserialization and exact-netlist validation belong to the
+    # engine layer (repro.engine.base.CompilingEngine).
+
+    def compiled_path_for(
+        self, key: Union[str, Netlist], engine: str, schema: Optional[int]
+    ) -> Path:
+        return self._path(COMPILED_KIND, key, f".{engine}.s{schema}")
+
+    def get_compiled(
+        self, key: Union[str, Netlist], engine: str, schema: Optional[int]
+    ) -> Optional[bytes]:
+        """The stored compiled-program payload, or ``None`` (a miss)."""
+        return self._lookup(COMPILED_KIND, key, f".{engine}.s{schema}")
+
+    def note_compile_rejected(self) -> None:
+        """Reclassify the last compiled read as a miss.
+
+        The engine layer validates the payload (exact-netlist token,
+        unpickling) *after* :meth:`get_compiled` returned it; a
+        rejected program forced a full recompile, and the stats must
+        say so or a token-mismatch churn looks like a 100% hit rate.
+        """
+        self._tally("cache.compile_hit", -1)
+        self._tally("cache.compile_miss")
+
+    def put_compiled(
+        self,
+        key: Union[str, Netlist],
+        engine: str,
+        schema: Optional[int],
+        payload: bytes,
+    ) -> Path:
+        """Atomically store one engine's compiled program."""
+        return self._write(
+            COMPILED_KIND, key, payload, f".{engine}.s{schema}"
+        )
+
+    # -- per-output-cone results ----------------------------------------
+    #
+    # Theorem 1 of the paper makes each output bit's canonical
+    # expression unique and backend-independent, so a cone result is
+    # engine-neutral: it is keyed only by the cone digest
+    # (repro.service.fingerprint.cone_fingerprints — a Merkle hash of
+    # the output's transitive fan-in), and any engine may serve or
+    # store it.  Engine identity and compile schema are *recorded* in
+    # the payload as provenance.
+
+    def cone_path_for(self, digest: str) -> Path:
+        """Location of one output cone's cached result."""
+        return self._path(CONE_KIND, digest)
+
+    def get_cone(self, digest: str) -> Optional[Dict[str, Any]]:
+        """The cached cone payload, or ``None`` (a miss).
+
+        The payload is the raw JSON dict: ``output``, ``expression``
+        (``poly_to_json`` form), ``stats`` (``stats_to_json`` form),
+        plus ``engine``/``compile_schema`` provenance.  Decoding to a
+        backend expression belongs to the extraction driver.
+        """
+        return self._lookup(CONE_KIND, digest)
+
+    def put_cone(
+        self,
+        digest: str,
+        output: str,
+        expression: Gf2Poly,
+        stats: RewriteStats,
+        engine: Optional[str] = None,
+        compile_schema: Optional[int] = None,
+    ) -> Path:
+        """Atomically store one output cone's result (best-effort)."""
+        return self._write(
+            CONE_KIND,
+            digest,
+            {
+                "output": output,
+                "expression": poly_to_json(expression),
+                "stats": stats_to_json(stats),
+                "engine": engine,
+                "compile_schema": compile_schema,
+            },
+        )
+
+    # -- file fingerprint memo ------------------------------------------
+    #
+    # Fingerprinting is content-addressed, but campaigns address
+    # netlists by *file*; re-parsing and re-strashing a file whose
+    # bytes have not changed just to recompute a known fingerprint
+    # would dominate warm reruns.  The memo maps (absolute path,
+    # mtime_ns, size) -> fingerprint, so a warm hit never opens the
+    # netlist at all.  Any stat change invalidates the memo entry and
+    # falls back to a full fingerprint.
+
+    def _file_memo_path(self, path: Union[str, os.PathLike]) -> Path:
+        return self._path("file", _path_digest(path))
+
+    def file_fingerprint(
+        self, path: Union[str, os.PathLike]
+    ) -> Optional[Dict[str, Any]]:
+        """The memoized ``{"fingerprint", "gates"}`` (plus ``"cones"``
+        when recorded — see :meth:`remember_file`) for an unchanged
+        file, or None when unseen/stale/unreadable.  A memo of another
+        ``FINGERPRINT_SCHEMA`` is stale: its fingerprint was computed
+        under the old canonical form and would stop structurally
+        identical designs from deduplicating."""
+        try:
+            stat = os.stat(path)
+        except OSError:
+            return None
+        memo = self._read("file", self._file_memo_path(path))
+        if (
+            memo is None
+            or memo.get("mtime_ns") != stat.st_mtime_ns
+            or memo.get("size") != stat.st_size
+        ):
+            return None
+        return memo
+
+    def remember_file(
+        self,
+        path: Union[str, os.PathLike],
+        fingerprint: str,
+        gates: Optional[int] = None,
+        stat: Optional[os.stat_result] = None,
+        cones: Optional[Dict[str, str]] = None,
+    ) -> None:
+        """Record a file's fingerprint against its stat.
+
+        Pass the ``stat`` taken *before* reading the file; statting
+        here, after the parse, would memoize the old content's
+        fingerprint against the stat of a concurrent overwrite.
+
+        ``cones`` optionally records the per-output-cone digests
+        (:func:`repro.service.fingerprint.cone_fingerprints`) so a
+        repeated ECO diff against an unchanged file skips the strash
+        entirely — the memo hit already carries every cone digest.
+        """
+        if stat is None:
+            try:
+                stat = os.stat(path)
+            except OSError:
+                return
+        memo = {
+            "path": os.fsdecode(os.path.abspath(path)),
+            "mtime_ns": stat.st_mtime_ns,
+            "size": stat.st_size,
+            "schema": FINGERPRINT_SCHEMA,
+            "fingerprint": fingerprint,
+            "gates": gates,
+        }
+        if cones is not None:
+            memo["cones"] = cones
+        self._write("file", _path_digest(path), memo)
+
     # -- stats / maintenance --------------------------------------------
 
     def _artifact_files(self) -> Iterator[Tuple[str, Path]]:
-        """Every budgeted artifact file as ``(kind, path)`` — the JSON
-        kinds plus the compiled-program blobs.  File-fingerprint memos
-        and job checkpoints are deliberately excluded (tiny, and
-        rebuilding them costs a re-parse, not a re-extraction)."""
-        for kind in KINDS:
-            kind_dir = self.version_dir / kind
-            if kind_dir.is_dir():
-                for path in kind_dir.rglob("*.json"):
+        """Every budgeted artifact file as ``(kind, path)``.  Side
+        records (verdict sidecars, file memos) and job checkpoints are
+        deliberately excluded: tiny, and rebuilding them costs a
+        re-parse, not a re-extraction."""
+        for kind, tier in _TIERS.items():
+            kind_dir = self.version_dir / tier.directory
+            if tier.counter is not None and kind_dir.is_dir():
+                for path in kind_dir.rglob(f"*{tier.suffix}"):
                     yield kind, path
-        cone_dir = self.version_dir / CONE_KIND
-        if cone_dir.is_dir():
-            # Cone results (.json) and per-cone compiled fragments
-            # (.bin) both count against the budgets.
-            for pattern in ("*.json", "*.bin"):
-                for path in cone_dir.rglob(pattern):
-                    yield CONE_KIND, path
-        compiled_dir = self.version_dir / COMPILED_KIND
-        if compiled_dir.is_dir():
-            for path in compiled_dir.rglob("*.bin"):
-                yield COMPILED_KIND, path
 
     def stats(self) -> CacheStats:
         """Session hit/miss counters plus an on-disk census."""
-        entries: Dict[str, int] = {kind: 0 for kind in KINDS}
-        entries[CONE_KIND] = 0
-        entries[COMPILED_KIND] = 0
+        entries: Dict[str, int] = {
+            kind: 0
+            for kind, tier in _TIERS.items()
+            if tier.counter is not None
+        }
         disk_bytes = 0
         for kind, path in self._artifact_files():
             entries[kind] += 1

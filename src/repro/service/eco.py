@@ -55,7 +55,7 @@ class ConeDiff:
     baseline_fingerprint: str
     edited_fingerprint: str
     #: Outputs whose cone digest is unchanged — their cached results
-    #: (and compiled fragments) stay valid.
+    #: stay valid.
     clean: List[str] = field(default_factory=list)
     #: Outputs present in both versions whose cone digest changed.
     dirty: List[str] = field(default_factory=list)
@@ -338,11 +338,9 @@ def eco_reverify(
                     term_limit=term_limit,
                     engine=engine,
                     cache=cache,
-                    compile_cache=cache,
                     fused=fused,
                     telemetry=tel,
                     max_bytes=max_bytes,
-                    cone_cache=cache,
                 )
 
         # Re-verify the edited version: the cone cache turns this
@@ -370,11 +368,9 @@ def eco_reverify(
                     term_limit=term_limit,
                     engine=engine,
                     cache=cache,
-                    compile_cache=cache,
                     fused=fused,
                     telemetry=tel,
                     max_bytes=max_bytes,
-                    cone_cache=cache,
                 )
                 cones_reused = sum(
                     1
@@ -414,10 +410,8 @@ def eco_reverify(
                         term_limit=term_limit,
                         engine=engine,
                         cache=cache,
-                        compile_cache=cache,
                         fused=fused,
                         max_bytes=max_bytes,
-                        cone_cache=cache,
                     )
                     cache.put_diagnosis(edit_fp, diagnosis)
 

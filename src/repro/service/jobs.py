@@ -260,13 +260,12 @@ def checkpointed_extract(
     checkpoint_dir: Optional[Union[str, os.PathLike]] = None,
     keep_checkpoint: bool = False,
     fingerprint: Optional[str] = None,
-    compile_cache=None,
+    cache=None,
     fused: bool = False,
     fused_chunk: int = FUSED_CHUNK_BITS,
     telemetry=None,
     max_bytes=None,
     deadline=None,
-    cone_cache=None,
 ) -> CheckpointedExtraction:
     """:func:`~repro.rewrite.parallel.extract_expressions` with resume.
 
@@ -278,10 +277,16 @@ def checkpointed_extract(
     completion.  On success the checkpoint is deleted, unless
     ``keep_checkpoint`` or it still holds bits outside ``outputs``.
 
-    ``compile_cache`` is forwarded to
-    :func:`~repro.rewrite.parallel.extract_expressions`: a resumed job
-    then also skips the engine's one-time netlist compile whenever a
-    compiled program for the same structure is already stored.
+    ``cache`` is forwarded to
+    :func:`~repro.rewrite.parallel.extract_expressions`: bits not
+    resumed from the checkpoint are first looked up in the per-cone
+    result cache, so the checkpoint plan skips both resumed *and*
+    cached bits, and a resumed job also skips the engine's one-time
+    netlist compile whenever a compiled program for the same
+    structure is already stored.  The assembled run's
+    :attr:`~repro.rewrite.parallel.ExtractionRun.cache_provenance`
+    records ``"checkpoint"`` for resumed bits alongside the
+    partition's ``"cone_hit"``/``"computed"`` entries.
 
     ``fused=True`` extracts through the engines' fused multi-cone
     sweep instead of the per-bit fork pool; the remaining bits are
@@ -310,15 +315,6 @@ def checkpointed_extract(
     granularity, the natural yield points — so a budgeted job stops
     *between* durable completions and the checkpoint resumes exactly
     the work already paid for.
-
-    ``cone_cache`` is forwarded to
-    :func:`~repro.rewrite.parallel.extract_expressions`: bits not
-    resumed from the checkpoint are first looked up in the per-cone
-    result cache, so the checkpoint plan skips both resumed *and*
-    cached bits.  The assembled run's
-    :attr:`~repro.rewrite.parallel.ExtractionRun.cache_provenance`
-    records ``"checkpoint"`` for resumed bits alongside the
-    partition's ``"cone_hit"``/``"computed"`` entries.
     """
     chosen = list(outputs) if outputs is not None else list(netlist.outputs)
     if fingerprint is None:
@@ -385,11 +381,10 @@ def checkpointed_extract(
                         term_limit=term_limit,
                         engine=engine,
                         on_result=persist,
-                        compile_cache=compile_cache,
+                        cache=cache,
                         fused=True,
                         telemetry=tel,
                         max_bytes=max_bytes,
-                        cone_cache=cone_cache,
                     )
                 cones.update(fresh.cones)
                 stats.update(fresh.stats)
@@ -405,10 +400,9 @@ def checkpointed_extract(
                 term_limit=term_limit,
                 engine=engine,
                 on_result=persist,
-                compile_cache=compile_cache,
+                cache=cache,
                 telemetry=tel,
                 max_bytes=max_bytes,
-                cone_cache=cone_cache,
             )
             cones.update(fresh.cones)
             stats.update(fresh.stats)

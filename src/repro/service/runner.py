@@ -246,10 +246,8 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
                         jobs=jobs,
                         engine=eng,
                         cache=cache,
-                        compile_cache=cache,
                         fused=fused,
                         max_bytes=max_bytes,
-                        cone_cache=cache,
                     )
                     if cache is not None:
                         cache.put_diagnosis(fingerprint, diagnosis)
@@ -290,11 +288,10 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
                             checkpoint_dir=cache.jobs_dir(),
                             fingerprint=fingerprint,
                             keep_checkpoint=True,
-                            compile_cache=cache,
+                            cache=cache,
                             fused=fused,
                             max_bytes=max_bytes,
                             deadline=deadline if deadline.armed else None,
-                            cone_cache=cache,
                         )
                         run = sharded.run
                         record["resumed_bits"] = len(sharded.resumed_bits)
@@ -307,10 +304,9 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
                             jobs=jobs,
                             engine=eng,
                             term_limit=task["term_limit"],
-                            compile_cache=cache,
+                            cache=cache,
                             fused=fused,
                             max_bytes=max_bytes,
-                            cone_cache=cache,
                         )
                     record["cones_reused"] = sum(
                         1

@@ -14,6 +14,7 @@ fallback of every other backend.
 
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -307,17 +308,19 @@ class TestSquarerFused:
         squarer = generate_squarer(0b10011)
         baseline = extract_squarer_polynomial(squarer)
         fused = extract_squarer_polynomial(
-            squarer, engine="vector", compile_cache=cache, fused=True
+            squarer, engine="vector", cache=cache, fused=True
         )
         assert fused.modulus == baseline.modulus
         assert fused.verified and fused.irreducible
         assert cache.stats().entries["compiled"] == 1
 
-        # a fresh engine process loads the stored program
+        # a fresh engine process loads the stored program (the squarer
+        # entry is dropped so the run gets past the result tier)
+        shutil.rmtree(cache.version_dir / "squarer")
         fresh = VectorEngine()
         fresh._compile = lambda n: pytest.fail("should load, not compile")
         again = extract_squarer_polynomial(
-            squarer, engine=fresh, compile_cache=cache, fused=True
+            squarer, engine=fresh, cache=cache, fused=True
         )
         assert again.modulus == baseline.modulus
 

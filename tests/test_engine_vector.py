@@ -211,18 +211,16 @@ class TestCompiledProgramCache:
         cache = ResultCache(tmp_path)
         netlist = self._nand()
         first = VectorEngine()
-        r1 = extract_irreducible_polynomial(
-            netlist, engine=first, compile_cache=cache
-        )
+        first.prepare(netlist, cache)
+        r1 = extract_irreducible_polynomial(netlist, engine=first)
         assert cache.stats().entries["compiled"] == 1
 
         fresh = VectorEngine()
         compiles = []
         original = fresh._compile
         fresh._compile = lambda n: compiles.append(n) or original(n)
-        r2 = extract_irreducible_polynomial(
-            netlist, engine=fresh, compile_cache=cache
-        )
+        fresh.prepare(netlist, cache)
+        r2 = extract_irreducible_polynomial(netlist, engine=fresh)
         assert compiles == []  # served from the cache, not recompiled
         assert r2.modulus == r1.modulus
         for bit in range(r1.m):
@@ -234,11 +232,11 @@ class TestCompiledProgramCache:
         structure twice across them."""
         cache = ResultCache(tmp_path)
         netlist = self._nand()
-        AigEngine().prepare(netlist, compile_cache=cache)
+        AigEngine().prepare(netlist, cache)
         assert cache.stats().entries["compiled"] == 1
         fresh = VectorEngine()
         fresh._compile = lambda n: pytest.fail("should load, not compile")
-        fresh.prepare(netlist, compile_cache=cache)
+        fresh.prepare(netlist, cache)
         assert cache.compile_hits >= 1
 
     def test_schema_bump_invalidates(self, tmp_path, monkeypatch):
@@ -247,7 +245,7 @@ class TestCompiledProgramCache:
         cache = ResultCache(tmp_path)
         netlist = self._nand()
         engine = VectorEngine()
-        engine.prepare(netlist, compile_cache=cache)
+        engine.prepare(netlist, cache)
         path_v1 = cache.compiled_path_for(
             netlist, "aig", VectorEngine.compile_schema
         )
@@ -260,7 +258,7 @@ class TestCompiledProgramCache:
         compiles = []
         original = bumped._compile
         bumped._compile = lambda n: compiles.append(n) or original(n)
-        bumped.prepare(netlist, compile_cache=cache)
+        bumped.prepare(netlist, cache)
         assert len(compiles) == 1  # old entry invisible under new schema
         assert cache.compiled_path_for(
             netlist, "aig", VectorEngine.compile_schema
@@ -283,10 +281,10 @@ class TestCompiledProgramCache:
         assert cache.fingerprint(lhs) == cache.fingerprint(rhs)
         assert netlist_token(lhs) != netlist_token(rhs)
 
-        VectorEngine().prepare(lhs, compile_cache=cache)
-        poly, _ = backward_rewrite(
-            rhs, "other", engine="vector", compile_cache=cache
-        )
+        VectorEngine().prepare(lhs, cache)
+        rhs_engine = VectorEngine()
+        rhs_engine.prepare(rhs, cache)
+        poly, _ = backward_rewrite(rhs, "other", engine=rhs_engine)
         assert str(poly) == "a0*b0"  # rhs's own naming, not lhs's
 
     def test_finalize_stores_accreted_models(self, tmp_path, monkeypatch):
@@ -300,21 +298,19 @@ class TestCompiledProgramCache:
         cache = ResultCache(tmp_path)
         netlist = self._nand(0b100011011)
         engine = VectorEngine()
-        engine.prepare(netlist, compile_cache=cache)
+        engine.prepare(netlist, cache)
         stored_before = cache.compiled_path_for(
             netlist, "aig", VectorEngine.compile_schema
         ).read_bytes()
-        extract_irreducible_polynomial(
-            netlist, engine=engine, compile_cache=cache
-        )
+        extract_irreducible_polynomial(netlist, engine=engine, cache=cache)
         stored_after = cache.compiled_path_for(
             netlist, "aig", VectorEngine.compile_schema
         ).read_bytes()
         assert stored_after != stored_before  # models travelled along
 
         fresh = VectorEngine()
-        program = fresh._compiled_for(netlist, compile_cache=cache)
-        assert len(program._models) > 0
+        fresh.prepare(netlist, cache)
+        assert len(fresh._compiled[netlist]._models) > 0
 
     def test_program_compiled_before_cache_is_persisted_later(
         self, tmp_path
@@ -326,9 +322,7 @@ class TestCompiledProgramCache:
         engine = VectorEngine()
         extract_irreducible_polynomial(netlist, engine=engine)  # no cache
         assert cache.stats().entries["compiled"] == 0
-        extract_irreducible_polynomial(
-            netlist, engine=engine, compile_cache=cache
-        )
+        extract_irreducible_polynomial(netlist, engine=engine, cache=cache)
         assert cache.stats().entries["compiled"] == 1
 
     def test_rejected_payload_counts_as_miss(self, tmp_path):
@@ -342,8 +336,8 @@ class TestCompiledProgramCache:
             return netlist
 
         cache = ResultCache(tmp_path)
-        VectorEngine().prepare(twin("mid"), compile_cache=cache)
-        VectorEngine().prepare(twin("other"), compile_cache=cache)
+        VectorEngine().prepare(twin("mid"), cache)
+        VectorEngine().prepare(twin("other"), cache)
         assert cache.compile_hits == 0
         assert cache.compile_misses == 2
 
@@ -351,14 +345,14 @@ class TestCompiledProgramCache:
         cache = ResultCache(tmp_path)
         netlist = self._nand()
         engine = VectorEngine()
-        engine.prepare(netlist, compile_cache=cache)
+        engine.prepare(netlist, cache)
         path = cache.compiled_path_for(
             netlist, "aig", VectorEngine.compile_schema
         )
         path.write_bytes(b"not a pickle")
         fresh = VectorEngine()
         result = extract_irreducible_polynomial(
-            netlist, engine=fresh, compile_cache=cache
+            netlist, engine=fresh, cache=cache
         )
         reference = extract_irreducible_polynomial(
             netlist, engine="reference"

@@ -96,6 +96,25 @@ class TestEndpoints:
         assert full["kind"] == "verification"
         assert full["payload"]["simulation_ok"] is True
 
+    def test_fresh_audit_writes_the_extraction_entry_once(
+        self, base, monkeypatch
+    ):
+        from repro.service.cache import ResultCache
+
+        kinds = []
+        original = ResultCache.put
+
+        def spy(cache, kind, key, artifact):
+            kinds.append(kind)
+            return original(cache, kind, key, artifact)
+
+        monkeypatch.setattr(ResultCache, "put", spy)
+        text = format_eqn(generate_mastrovito(0b100101))
+        job = post(f"{base}/v1/jobs", {"netlist": text, "mode": "audit"})
+        assert wait_done(base, job["job_id"])["status"] == "done"
+        assert kinds.count("extraction") == 1
+        assert kinds.count("verification") == 1
+
     def test_resubmission_is_a_cache_hit(self, base):
         text = format_eqn(generate_mastrovito(0b1011))
         first = post(f"{base}/v1/jobs", {"netlist": text, "mode": "extract"})

@@ -9,6 +9,7 @@ zoo, engines, and both fused and per-bit modes.
 
 import json
 import random
+import shutil
 
 import pytest
 
@@ -154,10 +155,10 @@ ZOO = [
 def warm_then_partial(tmp_path, net, mutant, engine, fused=False):
     """Warm the cone cache on ``net``, then extract ``mutant``."""
     cache = ResultCache(tmp_path / f"cache-{engine}-{fused}")
-    extract_expressions(net, engine=engine, fused=fused, cone_cache=cache)
+    extract_expressions(net, engine=engine, fused=fused, cache=cache)
     return (
         extract_expressions(
-            mutant, engine=engine, fused=fused, cone_cache=cache
+            mutant, engine=engine, fused=fused, cache=cache
         ),
         cache,
     )
@@ -200,9 +201,9 @@ class TestPartialRerunBitIdentity:
         base = generate_mastrovito(P5)
         mutant, _ = flip_gate(base, base.gates[20].output)
         cache = ResultCache(tmp_path / "cache")
-        extract_expressions(base, engine="reference", cone_cache=cache)
+        extract_expressions(base, engine="reference", cache=cache)
         warm = extract_expressions(
-            mutant, engine="bitpack", cone_cache=cache
+            mutant, engine="bitpack", cache=cache
         )
         cold = extract_expressions(mutant, engine="bitpack")
         assert cache.cone_hits > 0
@@ -229,14 +230,50 @@ class TestPartialRerunBitIdentity:
         for output in cold.expressions:
             assert warm.expressions[output] == cold.expressions[output]
 
-    def test_all_clean_skips_every_engine_phase(self, tmp_path):
-        """A fully warm rerun never touches the backend at all."""
+    @pytest.mark.parametrize("fused", [False, True], ids=["per-bit", "fused"])
+    @pytest.mark.parametrize("engine", ["reference", "bitpack", "vector"])
+    def test_all_clean_skips_every_engine_phase(self, tmp_path, engine, fused):
+        """One ``cache=`` extraction fills every tier; a fresh engine
+        instance (a cold process) then loads its compiled program and
+        a fully warm rerun never touches the backend at all."""
+        from repro.engine import get_engine
+        from repro.extract.extractor import extract_irreducible_polynomial
+
         net = generate_mastrovito(P5)
         cache = ResultCache(tmp_path / "cache")
-        extract_expressions(net, engine="bitpack", cone_cache=cache)
-        warm = extract_expressions(net, engine="bitpack", cone_cache=cache)
+        first = extract_irreducible_polynomial(
+            net, engine=engine, fused=fused, cache=cache
+        )
+        compiling = get_engine(engine).compile_schema is not None
+        entries = cache.stats().entries
+        assert entries["extraction"] == 1
+        assert cache.get_extraction_summary(net)["modulus"] == P5
+        assert entries["cone"] == len(set(cone_fingerprints(net).values()))
+        assert entries["compiled"] == int(compiling)
+
+        fresh = type(get_engine(engine))()
+        fresh._compile = lambda n: pytest.fail("should load, not compile")
+        fresh.prepare(net, cache)
+        assert cache.compile_hits == int(compiling)
+        fresh.rewrite_cone = fresh.rewrite_cones = lambda *a, **k: (
+            pytest.fail("a warm rerun must not rewrite")
+        )
+        warm = extract_expressions(
+            net, engine=fresh, fused=fused, cache=cache
+        )
         assert set(warm.cache_provenance.values()) == {"cone_hit"}
         assert cache.cone_hits == len(net.outputs)
+        assert dict(warm.expressions.items()) == dict(
+            first.run.expressions.items()
+        )
+        again = extract_irreducible_polynomial(
+            net, engine=fresh, fused=fused, cache=cache
+        )
+        assert cache.hits == 1
+        assert again.modulus == first.modulus
+        assert dict(again.run.expressions.items()) == dict(
+            first.run.expressions.items()
+        )
 
 
 class Killed(RuntimeError):
@@ -253,7 +290,7 @@ class TestKillAndResumeWithConeCache:
         base = generate_mastrovito(P8)
         mutant, _ = flip_gate(base, base.gates[60].output)
         cache = ResultCache(tmp_path / "cache")
-        extract_expressions(base, engine="bitpack", cone_cache=cache)
+        extract_expressions(base, engine="bitpack", cache=cache)
         cold = extract_expressions(mutant, engine="bitpack")
 
         path = tmp_path / "job.json"
@@ -277,7 +314,7 @@ class TestKillAndResumeWithConeCache:
             mutant,
             engine="bitpack",
             checkpoint_path=path,
-            cone_cache=cache,
+            cache=cache,
         )
         assert len(resumed.resumed_bits) == 3
         for output in cold.expressions:
@@ -357,7 +394,8 @@ class TestEcoReverify:
         cache = ResultCache(tmp_path / "cache")
         from repro.extract.extractor import extract_irreducible_polynomial
 
-        extract_irreducible_polynomial(base, cache=cache)  # no cone_cache
+        extract_irreducible_polynomial(base, cache=cache)
+        shutil.rmtree(cache.version_dir / "cone")  # a pre-cone-tier cache
         report = eco_reverify(bpath, epath, cache, engine="bitpack")
         assert report.baseline_source == "cache"
         assert report.cones_warmed == len(base.outputs)

@@ -514,6 +514,19 @@ def test_metrics_and_progress_endpoints(api):
     assert "http.request" in names
 
 
+def test_request_span_lands_before_the_response(api, monkeypatch):
+    """A slow span exit must hold the response back: a client that
+    detaches its sink on the response still sees the request span."""
+    server, base, registry = api
+    monkeypatch.setitem(telemetry._SPAN_DELAYS, "http.request", 0.2)
+    sink = telemetry.MemorySink()
+    registry.add_sink(sink)
+    _get(f"{base}/v1/health")
+    registry.remove_sink(sink)
+    names = {e["name"] for e in sink.events if e.get("type") == "span"}
+    assert "http.request" in names
+
+
 def test_progress_of_cache_hit_job(api):
     from repro.netlist.eqn_io import format_eqn
 
