@@ -12,7 +12,7 @@ harness has three size profiles, selected with ``REPRO_PROFILE``:
   budget tens of minutes.
 
 ``REPRO_JOBS`` sets the worker count (the paper uses 16 threads);
-jobs=1 (default) additionally reports tracemalloc peaks like the
+jobs=1 (default) additionally reports the process's peak RSS, the
 paper's Mem column.
 
 Every harness prints its rows in the format of the corresponding table

@@ -1,17 +1,16 @@
 """Runtime and peak-memory instrumentation for the benchmarks.
 
 The paper reports wall-clock runtime and peak resident memory per
-extraction.  RSS is meaningless to compare across interpreters, so the
-harnesses report the ``tracemalloc`` peak (Python-heap bytes actually
-allocated) along with wall/CPU time.
+extraction, and so do the harnesses: wall/CPU time plus the process's
+peak resident set size.
 
 :func:`measure` is a thin veneer over a telemetry span
-(:mod:`repro.telemetry`), which owns the tracemalloc discipline: the
-tracer starts only when nobody else is tracing and always stops in the
-span's exit path, so a nested measurement no longer resets the outer
-session's peak and an exception cannot leak the hook.  A *nested*
-measurement consequently reports the surrounding session's peak — a
-conservative upper bound rather than a silently-zeroed outer reading.
+(:mod:`repro.telemetry`), which reads the peak from the kernel's RSS
+high-water mark at span exit.  Reading it costs nothing while the
+measured call runs, so the runtime columns are not inflated by an
+allocation tracer.  The mark is process-wide and never falls: it
+includes everything the process did before the call, and a nested
+measurement reports the same figure as the one around it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.telemetry import Telemetry, resolve
 
 @dataclass
 class Measurement:
-    """One measured call: value, times, and peak allocation."""
+    """One measured call: value, times, and process peak RSS."""
 
     value: Any
     wall_s: float
@@ -53,7 +52,7 @@ def measure(
     telemetry: Optional[Telemetry] = None,
     label: str = "measure",
 ) -> Measurement:
-    """Run ``func`` once, recording wall time, CPU time and heap peak.
+    """Run ``func`` once, recording wall time, CPU time and peak RSS.
 
     The call runs inside a ``label`` span of the active telemetry
     registry (or the one passed explicitly), so benchmark timings land

@@ -145,6 +145,13 @@ class _CompiledAig:
                     poly = p0.symmetric_difference(p1)
                 elif len(p0) * len(p1) <= _PAIR_BUDGET:
                     poly = _flat_product([p0, p1], _FLAT_BOUND)
+                    if poly is None:
+                        # A two-factor product is computed exactly
+                        # before the bound check, so the node's PI-space
+                        # ANF is over the bound.  The ANF is canonical:
+                        # every cut yields that same polynomial, so the
+                        # cut search below cannot succeed.
+                        continue
             if poly is None and aig.is_and(node):
                 poly = self._flatten_via_cuts(node, flats)
             if poly is not None and len(poly) <= _FLAT_BOUND:

@@ -19,7 +19,7 @@ packages exactly those differences:
   host-side micro-optimisation anyway — the GPU's radix sort is the
   fast path there);
 * ``device_bytes`` — live device-pool usage, for the
-  ``sweep.device_bytes`` gauge (``tracemalloc`` cannot see cupy's
+  ``sweep.device_bytes`` gauge (host RSS cannot see cupy's device
   allocations, so telemetry asks the backend).
 
 Availability is reported as a *reason string* (``None`` means usable):

@@ -49,7 +49,7 @@ def format_extraction_report(
     lines.append(f"peak expression terms : {result.run.peak_terms}")
     if result.run.peak_memory_bytes is not None:
         mem_mb = result.run.peak_memory_bytes / (1024 * 1024)
-        lines.append(f"peak traced memory    : {mem_mb:.1f} MB")
+        lines.append(f"peak RSS              : {mem_mb:.1f} MB")
     if verification is not None:
         lines.append(f"verification          : {verification}")
         if verification.simulation_ok is not None:

@@ -178,10 +178,12 @@ def extract_expressions(
     ``jobs=0`` means one worker per CPU.  ``term_limit`` bounds the
     intermediate expression size per bit, converting runaway runs into
     :class:`~repro.rewrite.backward.TermLimitExceeded` — the paper's
-    "MO" outcome.  ``measure_memory`` additionally tracks the
-    ``tracemalloc`` peak (sequential runs only; it measures this
-    process).  ``engine`` selects the rewriting backend (see
-    :mod:`repro.engine`); results are backend-independent.
+    "MO" outcome.  ``measure_memory`` additionally records the
+    process's peak RSS at the end of the run (sequential runs only).
+    It is the kernel's high-water mark for this process, so it also
+    covers whatever ran before, netlist parsing included.  ``engine``
+    selects the rewriting backend (see :mod:`repro.engine`); results
+    are backend-independent.
 
     ``on_result`` is the checkpoint hook of :mod:`repro.service.jobs`:
     it fires in the coordinating process the moment each bit finishes
@@ -201,11 +203,11 @@ def extract_expressions(
     returned run is bit-identical to a cold run and carries per-bit
     :attr:`ExtractionRun.cache_provenance`.  The compiled-program
     tier: the backend's one-time compile of the dirty cones is loaded
-    from / stored to the cache by ``engine.prepare`` *in the
-    coordinating process* before any rewriting starts, so a warm
-    cache collapses the cold first call to near steady-state — and
-    forked workers inherit the prepared program copy-on-write instead
-    of each compiling their own.
+    from / stored to the cache by ``engine.prepare``, so a warm cache
+    collapses the cold first call to near steady-state.  ``prepare``
+    runs *in the coordinating process* before any rewriting starts,
+    with or without a cache, so forked workers inherit the prepared
+    program copy-on-write instead of each compiling their own.
 
     ``fused=True`` rewrites every requested cone through the engine's
     multi-root entry point in this process: a backend with a fused
@@ -221,8 +223,7 @@ def extract_expressions(
     registry this run reports to (default: the active one).  The whole
     run is one ``extract`` span; engine ``compile``/``cone``/``sweep``
     spans nest under it, and ``measure_memory`` rides on the span's
-    tracemalloc handling — nested-measurement safe, stopped even when
-    a bit raises.
+    peak-RSS reading, which costs nothing while the run executes.
 
     ``max_bytes`` caps the fused sweep's live bit-matrix (the
     out-of-core tier of the ``vector`` engine; ``--max-ram`` on the
@@ -241,8 +242,8 @@ def extract_expressions(
     tel = _telemetry.resolve(telemetry)
     results: List[Tuple[str, "ConeExpression", RewriteStats]] = []
     # The span is the timed region: engines deep below resolve the
-    # same registry through use(), and the tracemalloc peak rides on
-    # the span (nested-measurement safe, stopped even on a raise).
+    # same registry through use(), and the peak-RSS reading rides on
+    # the span.
     with _telemetry.use(tel), tel.span(
         "extract",
         memory=tracking,
@@ -305,12 +306,14 @@ def extract_expressions(
         if hit_outputs and dirty:
             work = _restrict_to_cones(netlist, dirty)
 
-        if cache is not None and dirty:
+        if dirty:
             # Prepare inside the timed region (the compile is part of
             # this run's cost, cached or not) and in the *coordinating*
             # process, so forked workers inherit the program
-            # copy-on-write.  A fully cone-cached run skips the
-            # compile entirely — that is the warm ECO path.
+            # copy-on-write and the trace shows ``compile`` as its own
+            # child of ``extract`` instead of inside the first ``cone``.
+            # A fully cone-cached run skips the compile entirely — that
+            # is the warm ECO path.
             backend.prepare(work, cache)
 
         if not dirty:

@@ -52,7 +52,11 @@ from repro.engine import (
     fallback_chain,
     get_engine,
 )
-from repro.telemetry import Telemetry, current as current_telemetry
+from repro.telemetry import (
+    Telemetry,
+    current as current_telemetry,
+    peak_rss_bytes,
+)
 
 #: OSError subclasses that are deterministic facts about the
 #: filesystem, not transient conditions — retrying cannot help.
@@ -142,15 +146,8 @@ def _process_rss_bytes() -> Optional[int]:
         with open("/proc/self/statm", "rb") as handle:
             pages = int(handle.read().split()[1])
         return pages * os.sysconf("SC_PAGESIZE")
-    except (OSError, ValueError, IndexError):
-        pass
-    try:  # pragma: no cover - non-/proc platforms
-        import resource
-
-        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        return int(peak_kib) * 1024
-    except Exception:  # pragma: no cover
-        return None
+    except (OSError, ValueError, IndexError):  # pragma: no cover
+        return peak_rss_bytes()  # no /proc: the peak is an upper bound
 
 
 class Deadline:

@@ -9,8 +9,9 @@ the one place all of them report to:
 * **Spans** — hierarchical timed regions (``span("compile")``,
   ``span("sweep.round", round=3)``) recording wall time
   (``perf_counter``), per-thread CPU time (``thread_time``) and — when
-  asked — the ``tracemalloc`` peak.  Nesting is tracked per thread, so
-  concurrent server jobs build separate subtrees.
+  asked — the process's peak resident set size, the paper's Mem
+  column.  Nesting is tracked per thread, so concurrent server jobs
+  build separate subtrees.
 * **Counters / gauges / histograms** — named process-wide metrics
   behind one lock (``cache.hit``, ``job.<id>.progress``); every span
   exit also feeds a ``span.<name>`` log-bucket latency histogram
@@ -64,14 +65,19 @@ import contextvars
 import itertools
 import json
 import os
+import sys
 import threading
 import time
-import tracemalloc
 import weakref
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.telemetry.histogram import Histogram, merge_states
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    resource = None  # type: ignore[assignment]
 
 #: Bump on any change to the emitted event layout.
 #: 2: ``metrics`` events carry a ``histograms`` map (log-bucket
@@ -118,6 +124,18 @@ def _chaos_span_delays(raw: Optional[str]) -> Dict[str, float]:
 add_span_delays(_chaos_span_delays(os.environ.get("REPRO_CHAOS")))
 
 
+def peak_rss_bytes() -> Optional[int]:
+    """The process's peak resident set size in bytes, or ``None``.
+
+    ``ru_maxrss`` is the kernel's high-water mark: KiB on Linux, bytes
+    on macOS.  ``None`` where :mod:`resource` is unavailable.
+    """
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024
+
+
 class Span:
     """One timed region; use as a context manager.
 
@@ -125,10 +143,11 @@ class Span:
     point inside the region (that is how ``RewriteStats.runtime_s``
     is populated before a ``return`` inside the ``with`` block);
     ``wall_s`` / ``cpu_s`` are the final figures after exit.  With
-    ``memory=True`` the span reports the ``tracemalloc`` peak at exit,
-    starting the tracer only if nobody else is tracing — a nested
-    memory span therefore reports the *session* peak (a conservative
-    upper bound) instead of clobbering the outer measurement.
+    ``memory=True`` the span reports :func:`peak_rss_bytes` at exit:
+    the process's resident-set high-water mark, a free kernel reading
+    (no allocation tracer slowing the region down).  The mark only
+    ever rises, so nested memory spans are safe by construction; it
+    also covers whatever ran before the span (parse included).
     """
 
     __slots__ = (
@@ -144,7 +163,6 @@ class Span:
         "error",
         "_telemetry",
         "_memory",
-        "_owns_tracemalloc",
         "_wall0",
         "_cpu0",
         "_done",
@@ -169,7 +187,6 @@ class Span:
         self.error: Optional[str] = None
         self._telemetry = telemetry
         self._memory = memory
-        self._owns_tracemalloc = False
         self._wall0 = 0.0
         self._cpu0 = 0.0
         self._done = False
@@ -180,9 +197,6 @@ class Span:
         stack = telemetry._stack()
         self.parent_id = stack[-1].span_id if stack else None
         stack.append(self)
-        if self._memory and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._owns_tracemalloc = True
         self.start_unix = time.time()
         self._wall0 = time.perf_counter()
         self._cpu0 = time.thread_time()
@@ -195,11 +209,8 @@ class Span:
                 time.sleep(delay)
         self.wall_s = time.perf_counter() - self._wall0
         self.cpu_s = time.thread_time() - self._cpu0
-        if self._memory and tracemalloc.is_tracing():
-            self.peak_bytes = tracemalloc.get_traced_memory()[1]
-        if self._owns_tracemalloc:
-            tracemalloc.stop()
-            self._owns_tracemalloc = False
+        if self._memory:
+            self.peak_bytes = peak_rss_bytes()
         if exc_type is not None:
             self.status = "error"
             self.error = f"{exc_type.__name__}: {exc}"

@@ -5,7 +5,7 @@ into *answers*:
 
 * :func:`profile_trace` — per-span-name aggregation: count, total and
   **self** wall time (total minus the time attributed to child
-  spans), CPU time, tracemalloc peaks, and exact wall-time
+  spans), CPU time, peak-RSS readings, and exact wall-time
   percentiles (the trace retains every sample, so no bucketing error
   here), plus the merged fleet counters/gauges/histograms.
 * :func:`critical_path` — the chain of spans you would have to speed

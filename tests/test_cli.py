@@ -63,6 +63,26 @@ class TestAudit:
         main(["gen", "--p", "x^4+x+1", "-o", str(path)])
         assert main(["audit", str(path), "--jobs", "2"]) == 0
 
+    def test_audit_peak_rss_without_tracemalloc(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The report's memory figure is a kernel reading: the audit
+        never starts Python's allocation tracer."""
+        import tracemalloc
+
+        path = tmp_path / "mult.eqn"
+        main(["gen", "--p", "x^8+x^4+x^3+x+1", "-o", str(path)])
+        capsys.readouterr()
+
+        def refuse(*args):
+            raise AssertionError("tracemalloc.start called")
+
+        monkeypatch.setattr(tracemalloc, "start", refuse)
+        assert main(["audit", "--engine", "aig", str(path)]) == 0
+        out = capsys.readouterr().out
+        (line,) = [row for row in out.splitlines() if "peak RSS" in row]
+        assert float(line.split(":")[1].split()[0]) > 0
+
 
 class TestSynth:
     def test_synth_command(self, tmp_path, capsys):

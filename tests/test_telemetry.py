@@ -256,6 +256,10 @@ def test_per_bit_cone_spans_not_duplicated(tel):
     )
     for event in cones:
         assert event["attrs"]["iterations"] >= 0
+    # The compile is its own child of extract, not hidden in a cone.
+    (extract,) = spans_named(sink, "extract")
+    (compile_span,) = spans_named(sink, "compile")
+    assert compile_span["parent_id"] == extract["span_id"]
     # runtime_s is now the cone span's wall time
     for output, stats in run.stats.items():
         assert stats.runtime_s >= 0.0
