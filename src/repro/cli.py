@@ -930,9 +930,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # of a traceback deep inside the run.
     engine = getattr(args, "engine", None)
     if engine is not None:
-        from repro.engine import engine_availability
+        from repro.engine import unavailable_reason
 
-        reason = engine_availability().get(engine)
+        reason = unavailable_reason(engine)
         if reason is not None:
             if not getattr(args, "fallback", False):
                 raise SystemExit(

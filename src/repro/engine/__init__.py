@@ -136,6 +136,7 @@ from repro.engine.registry import (
     get_engine,
     register_engine,
     registered_engines,
+    unavailable_reason,
 )
 from repro.engine.vector import VectorEngine
 
@@ -177,4 +178,5 @@ __all__ = [
     "get_engine",
     "register_engine",
     "registered_engines",
+    "unavailable_reason",
 ]

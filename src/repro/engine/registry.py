@@ -91,7 +91,9 @@ def register_engine(
         _PROBES.pop(name, None)
 
 
-def _unavailable_reason(name: str) -> Optional[str]:
+def unavailable_reason(name: str) -> Optional[str]:
+    """Why the engine ``name`` is unusable, or ``None`` when it is
+    usable or has no probe.  Runs only that engine's probe."""
     probe = _PROBES.get(name)
     if probe is None:
         return None
@@ -104,7 +106,7 @@ def available_engines() -> Tuple[str, ...]:
         sorted(
             name
             for name in _FACTORIES
-            if _unavailable_reason(name) is None
+            if unavailable_reason(name) is None
         )
     )
 
@@ -121,7 +123,7 @@ def engine_availability() -> Dict[str, Optional[str]]:
     an operator can see *why* ``cuda`` is missing from the usable set.
     """
     return {
-        name: _unavailable_reason(name)
+        name: unavailable_reason(name)
         for name in sorted(_FACTORIES)
     }
 
@@ -145,7 +147,7 @@ def get_engine(engine: Union[str, Engine, None]) -> Engine:
             f"unknown engine {engine!r}; "
             f"available: {', '.join(available_engines())}"
         ) from None
-    reason = _unavailable_reason(engine)
+    reason = unavailable_reason(engine)
     if reason is not None:
         raise EngineError(
             f"engine {engine!r} is unavailable: {reason}"

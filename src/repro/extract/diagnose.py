@@ -19,19 +19,23 @@ exists).
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro import telemetry as _telemetry
 from repro.extract.extractor import (
     ExtractionError,
     ExtractionResult,
     extract_irreducible_polynomial,
 )
-from repro.extract.verify import VerificationReport, verify_multiplier
+from repro.extract.verify import (
+    LANE_WIDTH,
+    VerificationReport,
+    first_mismatch,
+    verify_multiplier,
+)
 from repro.fieldmath.bitpoly import bitpoly_str
-from repro.fieldmath.gf2m import GF2m
-from repro.gen.naming import value_assignment
+from repro.gen.naming import input_nets, value_assignment
 from repro.netlist.netlist import Netlist
 from repro.rewrite.backward import BackwardRewriteError, TermLimitExceeded
 
@@ -144,17 +148,32 @@ def diagnose(
     >>> diagnose(generate_mastrovito(0b10011)).verdict.value
     'verified-multiplier'
     """
-    started = time.perf_counter()
+    with _telemetry.current().span(
+        "diagnose", netlist=netlist.name, engine=str(engine)
+    ) as span:
+        diagnosis = _decide(
+            netlist, jobs, term_limit, find_counterexample, engine,
+            cache, fused, max_bytes,
+        )
+        diagnosis.runtime_s = span.elapsed()
+        span.annotate(verdict=diagnosis.verdict.value)
+    return diagnosis
 
-    def finish(diagnosis: Diagnosis) -> Diagnosis:
-        diagnosis.runtime_s = time.perf_counter() - started
-        return diagnosis
 
+def _decide(
+    netlist: Netlist,
+    jobs: int,
+    term_limit: Optional[int],
+    find_counterexample: bool,
+    engine: str,
+    cache,
+    fused: bool,
+    max_bytes,
+) -> Diagnosis:
+    """The decision tree behind :func:`diagnose`."""
     if _looks_like_squarer(netlist):
-        return finish(
-            _diagnose_squarer(
-                netlist, cache=cache, engine=engine, fused=fused
-            )
+        return _diagnose_squarer(
+            netlist, cache=cache, engine=engine, fused=fused
         )
 
     try:
@@ -168,74 +187,62 @@ def diagnose(
             max_bytes=max_bytes,
         )
     except ExtractionError as error:
-        return finish(
-            Diagnosis(
-                verdict=Verdict.MALFORMED_PORTS,
-                netlist_name=netlist.name,
-                reason=str(error),
-            )
+        return Diagnosis(
+            verdict=Verdict.MALFORMED_PORTS,
+            netlist_name=netlist.name,
+            reason=str(error),
         )
     except TermLimitExceeded as error:
-        return finish(
-            Diagnosis(
-                verdict=Verdict.MEMORY_OUT,
-                netlist_name=netlist.name,
-                reason=str(error),
-            )
+        return Diagnosis(
+            verdict=Verdict.MEMORY_OUT,
+            netlist_name=netlist.name,
+            reason=str(error),
         )
     except BackwardRewriteError as error:
-        return finish(
-            Diagnosis(
-                verdict=Verdict.REWRITE_FAILED,
-                netlist_name=netlist.name,
-                reason=str(error),
-            )
+        return Diagnosis(
+            verdict=Verdict.REWRITE_FAILED,
+            netlist_name=netlist.name,
+            reason=str(error),
         )
 
     if not result.irreducible:
-        return finish(
-            Diagnosis(
-                verdict=Verdict.REDUCIBLE_POLYNOMIAL,
-                netlist_name=netlist.name,
-                extraction=result,
-                reason=(
-                    f"recovered mask {result.polynomial_str} is reducible; "
-                    "no polynomial-basis GF(2^m) multiplier produces it"
-                ),
-            )
+        return Diagnosis(
+            verdict=Verdict.REDUCIBLE_POLYNOMIAL,
+            netlist_name=netlist.name,
+            extraction=result,
+            reason=(
+                f"recovered mask {result.polynomial_str} is reducible; "
+                "no polynomial-basis GF(2^m) multiplier produces it"
+            ),
         )
 
     verification = verify_multiplier(netlist, result, engine=engine)
     if verification.equivalent:
-        return finish(
-            Diagnosis(
-                verdict=Verdict.VERIFIED_MULTIPLIER,
-                netlist_name=netlist.name,
-                extraction=result,
-                verification=verification,
-                reason=(
-                    f"implementation matches A*B mod "
-                    f"{bitpoly_str(result.modulus)}"
-                ),
-            )
+        return Diagnosis(
+            verdict=Verdict.VERIFIED_MULTIPLIER,
+            netlist_name=netlist.name,
+            extraction=result,
+            verification=verification,
+            reason=(
+                f"implementation matches A*B mod "
+                f"{bitpoly_str(result.modulus)}"
+            ),
         )
 
     counterexample = None
     if find_counterexample:
         counterexample = _find_counterexample(netlist, result)
-    return finish(
-        Diagnosis(
-            verdict=Verdict.NOT_EQUIVALENT,
-            netlist_name=netlist.name,
-            extraction=result,
-            verification=verification,
-            counterexample=counterexample,
-            reason=(
-                "extracted P(x) is irreducible but the implementation "
-                "does not compute A*B mod P(x) — buggy multiplier or "
-                "non-polynomial-basis design"
-            ),
-        )
+    return Diagnosis(
+        verdict=Verdict.NOT_EQUIVALENT,
+        netlist_name=netlist.name,
+        extraction=result,
+        verification=verification,
+        counterexample=counterexample,
+        reason=(
+            "extracted P(x) is irreducible but the implementation "
+            "does not compute A*B mod P(x) — buggy multiplier or "
+            "non-polynomial-basis design"
+        ),
     )
 
 
@@ -307,21 +314,29 @@ def _find_counterexample(
 ) -> Optional[Dict[str, int]]:
     """Search operand pairs for a disagreement with the golden model.
 
-    Exhaustive for small m, bounded sweep otherwise; the algebraic
-    verdict already proved a mismatch exists, the sweep just makes it
-    concrete (it can miss one when the operand space is large).
+    Exhaustive for small m, bounded sweep otherwise: the a-major grid
+    of ``min(2^m, max_values)`` values per operand, checked in one
+    bit-parallel pass per 4,096 pairs
+    (:func:`~repro.extract.verify.first_mismatch`).  The answer is the
+    first grid pair that disagrees, the same one a pair-by-pair scan
+    in grid order would find.  The algebraic verdict already proved a
+    mismatch exists; the sweep just makes it concrete (it can miss one
+    when the operand space is large).
     """
     m = result.m
-    field = GF2m(result.modulus, check_irreducible=False)
-    a_nets = [f"a{i}" for i in range(m)]
-    b_nets = [f"b{i}" for i in range(m)]
     bound = min(1 << m, max_values)
-    for a_value in range(bound):
-        for b_value in range(bound):
-            assignment = dict(value_assignment(a_nets, a_value))
-            assignment.update(value_assignment(b_nets, b_value))
-            values = netlist.simulate(assignment)
-            got = sum(values[f"z{i}"] << i for i in range(m))
-            if got != field.mul(a_value, b_value):
-                return assignment
-    return None
+    pairs = [(a, b) for a in range(bound) for b in range(bound)]
+    with _telemetry.current().span(
+        "diagnose.counterexample", pairs=len(pairs)
+    ) as span:
+        index = first_mismatch(netlist, result.modulus, m, pairs)
+        searched = len(pairs) if index is None else index + 1
+        span.annotate(
+            passes=-(-searched // LANE_WIDTH), found=index is not None
+        )
+    if index is None:
+        return None
+    a_value, b_value = pairs[index]
+    assignment = value_assignment(input_nets(m, "a"), a_value)
+    assignment.update(value_assignment(input_nets(m, "b"), b_value))
+    return assignment

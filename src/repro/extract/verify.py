@@ -18,15 +18,18 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import get_engine
 from repro.extract.extractor import ExtractionResult
 from repro.fieldmath.bitpoly import bitpoly_str
 from repro.fieldmath.gf2m import GF2m
-from repro.gen.naming import input_nets
+from repro.gen.naming import input_nets, output_nets
 from repro.netlist.netlist import Netlist
 from repro.rewrite.signature import spec_expressions
+
+#: Operand pairs simulated per bit-parallel pass.
+LANE_WIDTH = 1 << 12
 
 
 @dataclass
@@ -147,14 +150,13 @@ def _simulation_check(
 ) -> tuple:
     """Compare the netlist against GF2m.mul on concrete operands.
 
-    Uses bit-parallel simulation: many operand pairs are packed into
-    the lanes of each net value, so even the exhaustive m=6 check
-    (4096 pairs) is a handful of netlist traversals.
+    Exhaustive for ``m <= max_exhaustive_m``, otherwise seeded random
+    pairs plus the corner operands; :func:`first_mismatch` checks them
+    all in bit-parallel passes of :data:`LANE_WIDTH` pairs, so even the
+    exhaustive m=6 check (4096 pairs) is one netlist traversal.
+    Returns ``(ok, vectors)``: on a mismatch ``vectors`` counts the
+    pairs up to and including the first failing one.
     """
-    field = GF2m(modulus, check_irreducible=False)
-    a_nets = input_nets(m, "a")
-    b_nets = input_nets(m, "b")
-
     if m <= max_exhaustive_m:
         pairs = [
             (a, b) for a in range(1 << m) for b in range(1 << m)
@@ -168,31 +170,50 @@ def _simulation_check(
         ]
         # Always include the classic corner operands.
         pairs.extend([(0, 0), (1, 1), (top, top), (1, top)])
+    index = first_mismatch(netlist, modulus, m, pairs)
+    if index is None:
+        return True, len(pairs)
+    return False, index + 1
 
-    lane_width = 1 << 12  # simulate up to 4096 pairs per pass
-    for start in range(0, len(pairs), lane_width):
-        chunk = pairs[start : start + lane_width]
-        width = len(chunk)
-        assignment = {}
-        for idx, net in enumerate(a_nets):
-            packed = 0
-            for lane, (a_val, _) in enumerate(chunk):
-                if (a_val >> idx) & 1:
-                    packed |= 1 << lane
-            assignment[net] = packed
-        for idx, net in enumerate(b_nets):
-            packed = 0
-            for lane, (_, b_val) in enumerate(chunk):
-                if (b_val >> idx) & 1:
-                    packed |= 1 << lane
-            assignment[net] = packed
-        outputs = netlist.simulate(assignment, width=width)
-        for lane, (a_val, b_val) in enumerate(chunk):
-            expected = field.mul(a_val, b_val)
-            actual = 0
-            for idx in range(m):
-                if (outputs[f"z{idx}"] >> lane) & 1:
-                    actual |= 1 << idx
-            if actual != expected:
-                return False, start + lane + 1
-    return True, len(pairs)
+
+def first_mismatch(
+    netlist: Netlist,
+    modulus: int,
+    m: int,
+    pairs: Sequence[Tuple[int, int]],
+) -> Optional[int]:
+    """Index of the first ``(a, b)`` in ``pairs`` on which the netlist's
+    ``z`` outputs differ from ``GF2m.mul(a, b)``, or ``None``.
+
+    Pair ``start + lane`` rides in simulation lane ``lane`` of one
+    :meth:`Netlist.simulate` pass over ``LANE_WIDTH`` pairs; XORing
+    every output word with the lane-packed golden product leaves a set
+    bit on each failing lane, and the lowest one is the first failing
+    pair in ``pairs`` order.
+    """
+    field = GF2m(modulus, check_irreducible=False)
+    a_nets = input_nets(m, "a")
+    b_nets = input_nets(m, "b")
+    z_nets = output_nets(m)
+    for start in range(0, len(pairs), LANE_WIDTH):
+        chunk = pairs[start : start + LANE_WIDTH]
+        assignment = dict(zip(a_nets, _lane_words([a for a, _ in chunk], m)))
+        assignment.update(zip(b_nets, _lane_words([b for _, b in chunk], m)))
+        golden = _lane_words([field.mul(a, b) for a, b in chunk], m)
+        outputs = netlist.simulate(assignment, width=len(chunk))
+        failing = 0
+        for net, word in zip(z_nets, golden):
+            failing |= outputs[net] ^ word
+        if failing:
+            return start + (failing & -failing).bit_length() - 1
+    return None
+
+
+def _lane_words(values: List[int], m: int) -> List[int]:
+    """Bit-transpose ``m``-bit values: word ``i`` holds bit ``i`` of
+    ``values[lane]`` in bit ``lane``."""
+    # One binary string per value, last lane first, so that reading a
+    # column of characters as a binary number puts lane 0 in bit 0.
+    rows = [format(value, f"0{m}b") for value in reversed(values)]
+    columns = ["".join(column) for column in zip(*rows)]  # bit m-1 first
+    return [int(column, 2) for column in reversed(columns)]

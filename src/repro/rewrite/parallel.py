@@ -194,7 +194,7 @@ def extract_expressions(
     ``cache`` (a :class:`repro.service.cache.ResultCache`) brings in
     two of its tiers.  The per-output-cone tier: before dispatch the
     requested outputs are partitioned by per-cone Merkle digest
-    (:func:`repro.service.fingerprint.cone_fingerprints`) into cached
+    (:meth:`repro.service.cache.ResultCache.cone_digests`) into cached
     and dirty sets; only the dirty set is rewritten (the fused sweep
     takes the dirty subset of tags, per-bit jobs skip cached bits),
     cached bits are served under a ``cone.cached`` span, and freshly
@@ -257,18 +257,20 @@ def extract_expressions(
 
         # Cone-cache partition: serve every output whose Merkle cone
         # digest already has a stored result, and dispatch only the
-        # dirty remainder.  The digest pass is one AIG lowering —
-        # orders of magnitude below a rewrite — and it is inside the
-        # span, so the warm path's true cost is what the trace shows.
+        # dirty remainder.  The digests come from the cache's netlist
+        # memo when the caller already fingerprinted this netlist
+        # (batch runner, ECO), else from one AIG lowering that also
+        # fills the fingerprint; on a large design that costs about
+        # as much as the parse, and it is inside the span, so the
+        # warm path's true cost is what the trace shows.
         dirty = chosen
         cone_digests: Optional[Dict[str, str]] = None
         hit_outputs: List[str] = []
         if cache is not None and chosen:
             from repro.engine.reference import ReferenceExpression
             from repro.service.cache import poly_from_json, stats_from_json
-            from repro.service.fingerprint import cone_fingerprints
 
-            cone_digests = cone_fingerprints(netlist)
+            cone_digests = cache.cone_digests(netlist)
             entries = {}
             for output in chosen:
                 digest = cone_digests.get(output)

@@ -68,6 +68,7 @@ from repro.engine import (
     EngineError,
     available_engines,
     engine_availability,
+    unavailable_reason,
 )
 from repro.netlist.blif_io import parse_blif
 from repro.netlist.eqn_io import parse_eqn
@@ -900,7 +901,7 @@ def _make_handler(server: "ReproAPIServer"):
                     # but its dependency is missing" — the latter
                     # names the fix (e.g. install cupy or pick
                     # another engine).
-                    reason = engine_availability().get(engine)
+                    reason = unavailable_reason(engine)
                     if reason is not None:
                         self._error(
                             400,

@@ -98,6 +98,7 @@ from repro.rewrite.parallel import ExtractionRun, LazyExpressions
 from repro.service.fingerprint import (
     FINGERPRINT_SCHEMA,
     fingerprint_netlist,
+    fingerprint_with_cones,
 )
 
 #: Bump on any change to the serialized artifact layout.
@@ -527,9 +528,8 @@ class ResultCache:
         #: drift low, which only delays eviction until the next scan.
         self._entry_estimate: Optional[int] = None
         self._bytes_estimate: Optional[int] = None
-        self._fingerprint_memo: "WeakKeyDictionary[Netlist, Tuple[int, str]]" = (
-            WeakKeyDictionary()
-        )
+        #: netlist -> (gate count, fingerprint, cone digests or None).
+        self._fingerprint_memo: WeakKeyDictionary = WeakKeyDictionary()
 
     hits = property(lambda self: self._tallies["cache.hit"])
     misses = property(lambda self: self._tallies["cache.miss"])
@@ -562,21 +562,46 @@ class ResultCache:
         request that consults several kinds hashes the netlist once.
         """
         if isinstance(key, Netlist):
-            memo = self._fingerprint_memo.get(key)
-            if memo is not None and memo[0] == len(key):
+            memo = self._netlist_memo(key)
+            if memo is not None:
                 return memo[1]
             fingerprint = fingerprint_netlist(key)
-            self._fingerprint_memo[key] = (len(key), fingerprint)
+            self.remember_fingerprint(key, fingerprint)
             return fingerprint
         return key
 
+    def cone_digests(self, netlist: Netlist) -> Dict[str, str]:
+        """Per-output-cone digests of ``netlist``
+        (:func:`~repro.service.fingerprint.cone_fingerprints`), kept
+        in the same weak memo as its fingerprint: a netlist whose
+        caller already ran ``fingerprint_with_cones`` is never lowered
+        again, and one that is new here is lowered once for both."""
+        memo = self._netlist_memo(netlist)
+        if memo is not None and memo[2] is not None:
+            return memo[2]
+        fingerprint, cones = fingerprint_with_cones(netlist)
+        self.remember_fingerprint(netlist, fingerprint, cones)
+        return cones
+
     def remember_fingerprint(
-        self, netlist: Netlist, fingerprint: str
+        self,
+        netlist: Netlist,
+        fingerprint: str,
+        cones: Optional[Dict[str, str]] = None,
     ) -> None:
-        """Seed the weak fingerprint memo with an externally known
-        value (e.g. from the stat-validated file memo), so keyed
-        accesses on this netlist object never re-hash it."""
-        self._fingerprint_memo[netlist] = (len(netlist), fingerprint)
+        """Seed the weak memo with an externally known fingerprint
+        (e.g. from the stat-validated file memo) and, optionally, the
+        cone digests computed with it, so keyed accesses on this
+        netlist object never re-hash or re-lower it."""
+        self._fingerprint_memo[netlist] = (len(netlist), fingerprint, cones)
+
+    def _netlist_memo(self, netlist: Netlist) -> Optional[tuple]:
+        """The memo entry ``(gate count, fingerprint, cone digests or
+        None)`` while the netlist's gate count still matches it."""
+        memo = self._fingerprint_memo.get(netlist)
+        if memo is None or memo[0] != len(netlist):
+            return None
+        return memo
 
     def _path(
         self, kind: str, key: Union[str, Netlist], variant: str = ""

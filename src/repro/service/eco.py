@@ -158,7 +158,7 @@ def fingerprint_file(
     except OSError as error:
         raise EcoError(f"cannot read {path}: {error}") from error
     fingerprint, cones = fingerprint_with_cones(netlist)
-    cache.remember_fingerprint(netlist, fingerprint)
+    cache.remember_fingerprint(netlist, fingerprint, cones)
     cache.remember_file(
         path, fingerprint, gates=len(netlist), stat=stat, cones=cones
     )
@@ -295,16 +295,16 @@ def eco_reverify(
         edit_fp, edit_cones, edit_net = fingerprint_file(edited_path, cache)
         diff = diff_cones(base_fp, base_cones, edit_fp, edit_cones, tel)
 
-        def load(path, fingerprint):
+        def load(path, fingerprint, cones):
             reader = _readers()[Path(path).suffix]
             netlist = reader(Path(path))
-            cache.remember_fingerprint(netlist, fingerprint)
+            cache.remember_fingerprint(netlist, fingerprint, cones)
             return netlist
 
         def edited_netlist() -> Netlist:
             nonlocal edit_net
             if edit_net is None:
-                edit_net = load(edited_path, edit_fp)
+                edit_net = load(edited_path, edit_fp, edit_cones)
             return edit_net
 
         def cones_present(cones: Dict[str, str]) -> bool:
@@ -331,7 +331,7 @@ def eco_reverify(
             else:
                 baseline_source = "extracted"
                 if base_net is None:
-                    base_net = load(baseline_path, base_fp)
+                    base_net = load(baseline_path, base_fp, base_cones)
                 extract_irreducible_polynomial(
                     base_net,
                     jobs=jobs,

@@ -200,17 +200,22 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
                 netlist = reader(path)
                 if cache is not None and fingerprint is not None:
                     # The file memo already knows this netlist's
-                    # fingerprint; seed the cache's weak memo so the
-                    # compiled-program lookups (and every other keyed
-                    # access) skip re-hashing the parsed netlist.
-                    cache.remember_fingerprint(netlist, fingerprint)
+                    # fingerprint (and usually its cone digests); seed
+                    # the cache's weak memo so the compiled-program
+                    # lookups, the cone partition and every other
+                    # keyed access skip re-hashing the parsed netlist.
+                    cache.remember_fingerprint(
+                        netlist, fingerprint, cone_digests
+                    )
             return netlist
 
-        fingerprint = None
+        fingerprint = cone_digests = None
         if cache is not None:
             memo = cache.file_fingerprint(path)
             if memo is not None:
                 fingerprint = memo["fingerprint"]
+                if isinstance(memo.get("cones"), dict):
+                    cone_digests = memo["cones"]
                 record["gates"] = memo.get("gates")
             else:
                 from repro.service.fingerprint import fingerprint_with_cones
@@ -221,7 +226,7 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
                 # `repro eco` against this unchanged file never
                 # strashes it again.
                 fingerprint, cone_digests = fingerprint_with_cones(load())
-                cache.remember_fingerprint(netlist, fingerprint)
+                cache.remember_fingerprint(netlist, fingerprint, cone_digests)
                 record["gates"] = len(netlist)
                 cache.remember_file(
                     path,

@@ -430,8 +430,9 @@ def format_profile(
             else ""
         )
     ]
+    width = max([20] + [len(name) for name in profile["spans"]])
     header = (
-        f"{'span':<20} {'count':>6} {'total':>9} {'self':>9} "
+        f"{'span':<{width}} {'count':>6} {'total':>9} {'self':>9} "
         f"{'p50':>8} {'p99':>8} {'cpu':>9} {'peak':>8}"
     )
     lines.append(header)
@@ -444,7 +445,7 @@ def format_profile(
         peak = entry.get("peak_bytes_max")
         peak_text = f"{peak / (1024 * 1024):.1f}MB" if peak else "-"
         lines.append(
-            f"{name:<20} {entry['count']:>6} "
+            f"{name:<{width}} {entry['count']:>6} "
             f"{_format_seconds(entry['wall_total_s']):>9} "
             f"{_format_seconds(entry['wall_self_s']):>9} "
             f"{_format_seconds(entry['wall_p50_s']):>8} "

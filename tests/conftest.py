@@ -55,3 +55,34 @@ def figure2_netlist():
     from repro.gen.paper_examples import paper_figure2_multiplier
 
     return paper_figure2_multiplier()
+
+
+def corrupt_output(
+    netlist: Netlist, output: str, gtype, lhs: str, rhs: str
+) -> Netlist:
+    """A copy whose ``output`` is XORed with ``gtype(lhs, rhs)``: the
+    copy is wrong exactly on the operand pairs that set that gate."""
+    from repro.netlist.gate import Gate, GateType
+
+    good = f"{output}_good"
+
+    def rename(net: str) -> str:
+        return good if net == output else net
+
+    mutant = Netlist(f"{netlist.name}_corrupt", inputs=netlist.inputs)
+    for gate in netlist.gates:
+        mutant.add_gate(
+            Gate(
+                rename(gate.output),
+                gate.gtype,
+                tuple(rename(net) for net in gate.inputs),
+            )
+        )
+    mutant.add_gate(Gate(f"{output}_flip", gtype, (lhs, rhs)))
+    mutant.add_gate(
+        Gate(output, GateType.XOR, (good, f"{output}_flip"))
+    )
+    for net in netlist.outputs:
+        mutant.add_output(net)
+    mutant.validate()
+    return mutant

@@ -84,6 +84,44 @@ class TestAudit:
         assert float(line.split(":")[1].split()[0]) > 0
 
 
+class TestEngineProbe:
+    def _probes(self, monkeypatch, reasons):
+        """Replace every engine probe with one that logs its call and
+        returns ``reasons.get(name)``."""
+        from repro.engine import registry
+
+        called = []
+        probes = {}
+        for name in registry.registered_engines():
+
+            def probe(name=name):
+                called.append(name)
+                return reasons.get(name)
+
+            probes[name] = probe
+        monkeypatch.setattr(registry, "_PROBES", probes)
+        return called
+
+    def test_only_the_selected_engine_is_probed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "mult.eqn"
+        main(["gen", "--p", "x^4+x+1", "-o", str(path)])
+        called = self._probes(monkeypatch, {})
+        assert main(["extract", str(path), "--engine", "bitpack"]) == 0
+        assert set(called) == {"bitpack"}
+
+    def test_unavailable_engine_names_the_reason(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "mult.eqn"
+        main(["gen", "--p", "x^4+x+1", "-o", str(path)])
+        self._probes(monkeypatch, {"aig": "no aig today"})
+        with pytest.raises(SystemExit) as caught:
+            main(["extract", str(path), "--engine", "aig"])
+        assert str(caught.value) == "engine 'aig' is unavailable: no aig today"
+
+
 class TestSynth:
     def test_synth_command(self, tmp_path, capsys):
         src = tmp_path / "flat.eqn"

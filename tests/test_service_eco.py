@@ -338,6 +338,60 @@ class TestDiffCones:
         assert removed == ["z2"]
 
 
+class TestSingleLowering:
+    """A netlist the caller already fingerprinted is never lowered
+    to an AIG again just to recover its cone digests."""
+
+    @staticmethod
+    def _count_lowerings(monkeypatch):
+        from repro.aig.aig import Aig
+
+        lowered = []
+        original = Aig.from_netlist.__func__
+
+        def counting(cls, netlist, *args, **kwargs):
+            lowered.append(netlist.name)
+            return original(cls, netlist, *args, **kwargs)
+
+        monkeypatch.setattr(Aig, "from_netlist", classmethod(counting))
+        return lowered
+
+    def test_cone_digests_fill_the_fingerprint_memo(
+        self, tmp_path, monkeypatch
+    ):
+        net = generate_montgomery(P5)
+        fingerprint, cones = fingerprint_with_cones(net)
+        cache = ResultCache(tmp_path)
+        lowered = self._count_lowerings(monkeypatch)
+        assert cache.cone_digests(net) == cones
+        assert cache.fingerprint(net) == fingerprint
+        assert cache.cone_digests(net) == cones
+        assert len(lowered) == 1
+
+    def test_extraction_reads_remembered_digests(
+        self, tmp_path, monkeypatch
+    ):
+        net = generate_mastrovito(P5)
+        fingerprint, cones = fingerprint_with_cones(net)
+        cache = ResultCache(tmp_path)
+        cache.remember_fingerprint(net, fingerprint, cones)
+        lowered = self._count_lowerings(monkeypatch)
+        extract_expressions(net, engine="reference", cache=cache)
+        assert lowered == []
+
+    def test_fresh_edit_lowers_each_file_once(self, tmp_path, monkeypatch):
+        base = generate_mastrovito(P8)
+        mutant, _ = flip_gate(base, base.gates[len(base.gates) // 2].output)
+        bpath, epath = tmp_path / "base.eqn", tmp_path / "edit.eqn"
+        write_eqn(base, bpath)
+        write_eqn(mutant, epath)
+        lowered = self._count_lowerings(monkeypatch)
+        eco_reverify(
+            bpath, epath, ResultCache(tmp_path / "cache"), engine="reference"
+        )
+        assert len(lowered) == 2
+
+
 class TestEcoReverify:
     def _write(self, tmp_path, name, netlist):
         path = tmp_path / f"{name}.eqn"
