@@ -89,9 +89,11 @@ from repro.gen.mastrovito import generate_mastrovito
 from repro.gen.montgomery import generate_montgomery
 from repro.gen.normal_basis import generate_massey_omura
 from repro.gen.schoolbook import generate_schoolbook
-from repro.netlist.blif_io import read_blif, write_blif
-from repro.netlist.eqn_io import read_eqn, write_eqn
-from repro.netlist.verilog_io import read_verilog, write_verilog
+from repro.netlist.blif_io import write_blif
+from repro.netlist.eqn_io import write_eqn
+from repro.netlist.formats import FORMATS, netlist_format, read_netlist
+from repro.netlist.netlist import NetlistError
+from repro.netlist.verilog_io import write_verilog
 from repro.synth.pipeline import synthesize
 
 _GENERATORS = {
@@ -108,7 +110,6 @@ _GENERATORS = {
 }
 
 _WRITERS = {"eqn": write_eqn, "blif": write_blif, "v": write_verilog}
-_READERS = {"eqn": read_eqn, "blif": read_blif, "v": read_verilog}
 
 
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
@@ -213,14 +214,12 @@ def _add_baseline_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _infer_format(path: str, explicit: Optional[str]) -> str:
-    if explicit:
-        return explicit
-    for ext, name in ((".eqn", "eqn"), (".blif", "blif"), (".v", "v")):
-        if path.endswith(ext):
-            return name
-    raise SystemExit(
-        f"cannot infer netlist format of {path!r}; pass --format"
-    )
+    fmt = explicit or netlist_format(path)
+    if fmt is None:
+        raise SystemExit(
+            f"cannot infer netlist format of {path!r}; pass --format"
+        )
+    return fmt
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -286,8 +285,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         # Incremental path: diff output-cone fingerprints against the
         # verified baseline and rewrite only the dirty cones.
         return _run_eco(args, args.baseline, args.netlist, audit=False)
-    fmt = _infer_format(args.netlist, args.format)
-    netlist = _READERS[fmt](args.netlist)
+    netlist = read_netlist(
+        args.netlist, _infer_format(args.netlist, args.format)
+    )
     result = extract_irreducible_polynomial(
         netlist,
         jobs=args.jobs,
@@ -306,8 +306,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     if args.baseline is not None:
         return _run_eco(args, args.baseline, args.netlist, audit=True)
-    fmt = _infer_format(args.netlist, args.format)
-    netlist = _READERS[fmt](args.netlist)
+    netlist = read_netlist(
+        args.netlist, _infer_format(args.netlist, args.format)
+    )
     result = extract_irreducible_polynomial(
         netlist,
         jobs=args.jobs,
@@ -327,8 +328,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    in_fmt = _infer_format(args.netlist, args.format)
-    netlist = _READERS[in_fmt](args.netlist)
+    netlist = read_netlist(
+        args.netlist, _infer_format(args.netlist, args.format)
+    )
     optimized = synthesize(
         netlist,
         map_cells=not args.no_map,
@@ -345,8 +347,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    fmt = _infer_format(args.netlist, args.format)
-    netlist = _READERS[fmt](args.netlist)
+    netlist = read_netlist(
+        args.netlist, _infer_format(args.netlist, args.format)
+    )
     diagnosis = diagnose(
         netlist,
         jobs=args.jobs,
@@ -361,8 +364,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
-    fmt = _infer_format(args.netlist, args.format)
-    netlist = _READERS[fmt](args.netlist)
+    netlist = read_netlist(
+        args.netlist, _infer_format(args.netlist, args.format)
+    )
     if args.kind == "random":
         mutant, fault = random_fault(netlist, seed=args.seed)
     elif args.gate is None:
@@ -607,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("netlist")
     extract.add_argument("--jobs", type=int, default=1)
     extract.add_argument("--term-limit", type=int, default=None)
-    extract.add_argument("--format", choices=sorted(_READERS), default=None)
+    extract.add_argument("--format", choices=FORMATS, default=None)
     _add_baseline_arguments(extract)
     _add_fallback_argument(extract)
     _add_engine_argument(extract)
@@ -622,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("netlist")
     audit.add_argument("--jobs", type=int, default=1)
     audit.add_argument("--term-limit", type=int, default=None)
-    audit.add_argument("--format", choices=sorted(_READERS), default=None)
+    audit.add_argument("--format", choices=FORMATS, default=None)
     _add_baseline_arguments(audit)
     _add_fallback_argument(audit)
     _add_engine_argument(audit)
@@ -676,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
             "legacy gate-level passes"
         ),
     )
-    synth.add_argument("--format", choices=sorted(_READERS), default=None)
+    synth.add_argument("--format", choices=FORMATS, default=None)
     synth.set_defaults(func=_cmd_synth)
 
     diag = sub.add_parser(
@@ -686,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--jobs", type=int, default=1)
     diag.add_argument("--term-limit", type=int, default=None)
     diag.add_argument("--no-counterexample", action="store_true")
-    diag.add_argument("--format", choices=sorted(_READERS), default=None)
+    diag.add_argument("--format", choices=FORMATS, default=None)
     _add_fallback_argument(diag)
     _add_engine_argument(diag)
     _add_fused_argument(diag)
@@ -708,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     inject.add_argument("--gate", default=None, help="target gate output net")
     inject.add_argument("--seed", type=int, default=0)
     inject.add_argument("-o", "--output", required=True)
-    inject.add_argument("--format", choices=sorted(_READERS), default=None)
+    inject.add_argument("--format", choices=FORMATS, default=None)
     inject.set_defaults(func=_cmd_inject)
 
     reduction = sub.add_parser(
@@ -922,6 +926,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> int:
+    """Run the subcommand.  A malformed netlist ends it with one
+    ``error: FILE: line N: ...`` line on stderr and exit status 2."""
+    try:
+        return args.func(args)
+    except NetlistError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -958,7 +972,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 )
     trace_path = getattr(args, "trace", None)
     if not trace_path:
-        return args.func(args)
+        return _run(args)
     from repro import telemetry as _telemetry
 
     # --trace taps the process-global registry, so every span the run
@@ -974,7 +988,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     run_calibration(telemetry)
     try:
-        return args.func(args)
+        return _run(args)
     finally:
         telemetry.flush_metrics()
         telemetry.remove_sink(sink)

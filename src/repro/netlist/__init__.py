@@ -18,7 +18,10 @@ the equivalent substrate:
     structural hashing;
 ``eqn_io`` / ``blif_io`` / ``verilog_io``
     file formats (a functional equations format, a BLIF subset, and
-    structural Verilog).
+    structural Verilog);
+``formats``
+    :func:`read_netlist` / :func:`parse_netlist`, the one entry point
+    that picks the reader by format and records a ``parse`` span.
 """
 
 from repro.netlist.gate import Gate, GateType, evaluate_gate, gate_arity
@@ -27,6 +30,7 @@ from repro.netlist.build import NetlistBuilder
 from repro.netlist.eqn_io import read_eqn, write_eqn, parse_eqn, format_eqn
 from repro.netlist.blif_io import read_blif, write_blif
 from repro.netlist.verilog_io import read_verilog, write_verilog
+from repro.netlist.formats import parse_netlist, read_netlist
 
 __all__ = [
     "Gate",
@@ -44,4 +48,6 @@ __all__ = [
     "write_blif",
     "read_verilog",
     "write_verilog",
+    "read_netlist",
+    "parse_netlist",
 ]

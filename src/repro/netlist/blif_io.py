@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, TextIO, Tuple, Union
 
 from repro.ioutil import atomic_write_text
 from repro.netlist.gate import Gate, GateType, evaluate_gate, gate_arity
-from repro.netlist.netlist import Netlist, NetlistError
+from repro.netlist.netlist import Netlist, NetlistError, ParsedNetlist
 
 PathOrFile = Union[str, os.PathLike, TextIO]
 
@@ -90,120 +90,156 @@ def write_blif(netlist: Netlist, target: PathOrFile) -> None:
 # Reading
 # ----------------------------------------------------------------------
 
-def _truth_table_from_cover(
-    cover: Sequence[str], num_inputs: int
-) -> Tuple[int, ...]:
-    """Evaluate an SOP cover into a dense truth table."""
-    table = []
-    for bits in _iter_product((0, 1), repeat=num_inputs):
-        value = 0
-        for line in cover:
-            pattern, out = line.rsplit(None, 1) if " " in line else ("", line)
-            if out != "1":
-                raise BlifFormatError("only on-set covers are supported")
-            pattern = pattern.replace(" ", "")
-            if len(pattern) != num_inputs:
-                raise BlifFormatError(
-                    f"cover row {line!r} does not match {num_inputs} inputs"
-                )
-            if all(p == "-" or int(p) == b for p, b in zip(pattern, bits)):
-                value = 1
-                break
-        table.append(value)
-    return tuple(table)
+def _minterm_masks(width: int) -> Dict[str, int]:
+    """Every cover-row pattern over ``width`` inputs -> the truth-table
+    rows it covers, as a ``2**width``-bit mask (row ``r`` gives input
+    ``k`` the value of bit ``k`` of ``r``)."""
+    full = (1 << (1 << width)) - 1
+    masks = {"": full}
+    for k in range(width):
+        ones = sum(1 << row for row in range(1 << width) if (row >> k) & 1)
+        masks = {
+            pattern + char: mask & literal
+            for pattern, mask in masks.items()
+            for char, literal in (("0", full ^ ones), ("1", ones), ("-", full))
+        }
+    return masks
+
+
+def _cell_tables(width: int) -> Dict[int, GateType]:
+    """Truth table -> library cell over ``width`` inputs (where two
+    cells share a table, the first in :class:`GateType` order wins)."""
+    full = (1 << (1 << width)) - 1
+    literals = [
+        _MINTERMS["-" * k + "1" + "-" * (width - 1 - k)]
+        for k in range(width)
+    ]
+    tables: Dict[int, GateType] = {}
+    for gtype in GateType:
+        fixed = gate_arity(gtype)
+        if fixed == width or (fixed is None and width >= 2):
+            tables.setdefault(evaluate_gate(gtype, literals, full), gtype)
+    return tables
+
+
+#: Largest cover the reader classifies.
+_MAX_COVER_INPUTS = 6
+#: Cover-row pattern (``0``/``1``/``-``, 0 to 6 inputs) -> the truth-table
+#: rows it covers; 1,093 entries, built once at import.
+_MINTERMS: Dict[str, int] = {}
+for _width in range(_MAX_COVER_INPUTS + 1):
+    _MINTERMS.update(_minterm_masks(_width))
+#: Arity -> {truth table: cell} (arity 0 holds the constants), built
+#: once at import.
+_CELLS = {
+    width: _cell_tables(width) for width in range(_MAX_COVER_INPUTS + 1)
+}
 
 
 def _classify_gate(
-    inputs: Tuple[str, ...], cover: Sequence[str]
-) -> Tuple[GateType, Tuple[str, ...]]:
-    """Match a cover against the cell library by truth table."""
+    signals: Sequence[str], lineno: int, cover: Sequence[Tuple[int, str]]
+) -> Gate:
+    """The library cell a ``.names`` block implements.
+
+    ``signals`` are the ``.names`` operands (inputs, then the output)
+    on line ``lineno``; ``cover`` holds ``(line, row)`` pairs.  The
+    rows' minterm masks OR into a truth table, looked up in
+    :data:`_CELLS`; unrecognised functions are rejected.
+    """
+    inputs, output = tuple(signals[:-1]), signals[-1]
     n = len(inputs)
-    if n == 0:
-        if not cover:
-            return GateType.CONST0, ()
-        if all(line.strip() == "1" for line in cover):
-            return GateType.CONST1, ()
-        raise BlifFormatError(f"unrecognised constant cover {cover!r}")
-    if n > 6:
-        raise BlifFormatError(f"cover with {n} inputs is not classifiable")
-    table = _truth_table_from_cover(cover, n)
-    for gtype in GateType:
-        fixed = gate_arity(gtype)
-        if fixed is not None and fixed != n:
-            continue
-        if fixed is None and n < 2:
-            continue
-        expected = tuple(
-            evaluate_gate(gtype, list(bits), mask=1)
-            for bits in _iter_product((0, 1), repeat=n)
+    if n > _MAX_COVER_INPUTS:
+        raise BlifFormatError(
+            f"line {lineno}: cover with {n} inputs is not classifiable"
         )
-        if expected == table:
-            return gtype, inputs
-    raise BlifFormatError(
-        f"cover over {inputs} does not match any library cell"
-    )
+    table = 0
+    for row_line, row in cover:
+        tokens = row.split()
+        if tokens[-1] != "1":
+            raise BlifFormatError(
+                f"line {row_line}: only on-set covers are supported"
+            )
+        pattern = "".join(tokens[:-1])
+        if len(pattern) != n:
+            raise BlifFormatError(
+                f"line {row_line}: cover row {row!r} does not match "
+                f"{n} inputs"
+            )
+        mask = _MINTERMS.get(pattern)
+        if mask is None:
+            raise BlifFormatError(
+                f"line {row_line}: cover row {row!r} may only use "
+                "'0', '1' and '-'"
+            )
+        table |= mask
+    gtype = _CELLS[n].get(table)
+    if gtype is None:
+        raise BlifFormatError(
+            f"line {lineno}: cover over {inputs} does not match any "
+            "library cell"
+        )
+    return Gate(output, gtype, inputs)
 
 
 def parse_blif(text: str) -> Netlist:
-    """Parse BLIF text into a :class:`Netlist`."""
-    # Join continuation lines first.
-    logical: List[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+    """Parse BLIF text into a :class:`Netlist`.
+
+    One pass over the lines; every error is a :class:`BlifFormatError`
+    that starts with ``line N:`` (a continued line counts from its
+    first physical line).
+    """
+    parsed = ParsedNetlist("blif")
+    gates, gate_lines = parsed.gates, parsed.gate_lines
+    lines = text.splitlines()
+    lines.append(".end")  # closes a trailing .names block
+    names: List[str] = []
+    names_line = 0
+    cover: List[Tuple[int, str]] = []
+    index = 0
+    while index < len(lines):
+        line = lines[index]
+        index += 1
+        lineno = index
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        line = line.strip()
+        while line.endswith("\\"):
+            line = line[:-1]
+            if index < len(lines) - 1:  # never into the sentinel
+                line += " " + lines[index].split("#", 1)[0].strip()
+                index += 1
+        if not line:
             continue
-        if logical and logical[-1].endswith("\\"):
-            logical[-1] = logical[-1][:-1] + " " + line.strip()
-        else:
-            logical.append(line)
-    while logical and logical[-1].endswith("\\"):
-        logical[-1] = logical[-1][:-1]
-
-    netlist = Netlist("blif")
-    pending: Tuple[Tuple[str, ...], str] | None = None
-    cover: List[str] = []
-
-    def flush() -> None:
-        nonlocal pending, cover
-        if pending is None:
-            return
-        inputs, output = pending
-        gtype, ordered = _classify_gate(inputs, cover)
-        netlist.add_gate(Gate(output, gtype, ordered))
-        pending, cover = None, []
-
-    for line in logical:
-        stripped = line.strip()
-        if stripped.startswith("."):
-            parts = stripped.split()
-            directive = parts[0]
-            if directive == ".model":
-                flush()
-                netlist.name = parts[1] if len(parts) > 1 else "blif"
-            elif directive == ".inputs":
-                flush()
-                for net in parts[1:]:
-                    netlist.add_input(net)
-            elif directive == ".outputs":
-                flush()
-                for net in parts[1:]:
-                    netlist.add_output(net)
-            elif directive == ".names":
-                flush()
-                if len(parts) < 2:
-                    raise BlifFormatError(f"bad .names line {line!r}")
-                pending = (tuple(parts[1:-1]), parts[-1])
-            elif directive == ".end":
-                flush()
-            else:
-                raise BlifFormatError(f"unsupported directive {directive!r}")
-        else:
-            if pending is None:
-                raise BlifFormatError(f"cover row outside .names: {line!r}")
-            cover.append(stripped)
-    flush()
-    netlist.validate()
-    return netlist
+        if line[0] != ".":
+            if not names:
+                raise BlifFormatError(
+                    f"line {lineno}: cover row outside .names: {line!r}"
+                )
+            cover.append((lineno, line))
+            continue
+        if names:
+            gates.append(_classify_gate(names, names_line, cover))
+            gate_lines.append(names_line)
+            names, cover = [], []
+        parts = line.split()
+        directive = parts[0]
+        if directive == ".names":
+            if len(parts) < 2:
+                raise BlifFormatError(
+                    f"line {lineno}: bad .names line {line!r}"
+                )
+            names, names_line = parts[1:], lineno
+        elif directive == ".inputs" or directive == ".outputs":
+            decls = parsed.inputs if directive == ".inputs" else parsed.outputs
+            for net in parts[1:]:
+                decls.setdefault(net, lineno)
+        elif directive == ".model":
+            parsed.name = parts[1] if len(parts) > 1 else "blif"
+        elif directive != ".end":
+            raise BlifFormatError(
+                f"line {lineno}: unsupported directive {directive!r}"
+            )
+    return parsed.build(BlifFormatError)
 
 
 def read_blif(source: PathOrFile) -> Netlist:

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import io
 import os
-from typing import Iterable, List, TextIO, Union
+from typing import List, TextIO, Union
 
 from repro.ioutil import atomic_write_text
-from repro.netlist.gate import Gate, GateType
-from repro.netlist.netlist import Netlist, NetlistError
+from repro.netlist.gate import GATE_TYPES, Gate
+from repro.netlist.netlist import Netlist, NetlistError, ParsedNetlist
 
 PathOrFile = Union[str, os.PathLike, TextIO]
 
@@ -63,6 +63,9 @@ def _write_decl(out: TextIO, keyword: str, names: List[str]) -> None:
 def parse_eqn(text: str, name: str = "netlist") -> Netlist:
     """Parse equations-format text into a :class:`Netlist`.
 
+    One pass over the lines; every error is an :class:`EqnFormatError`
+    that starts with ``line N:``.
+
     >>> net = parse_eqn('''
     ... INPUT a b
     ... OUTPUT z
@@ -71,50 +74,49 @@ def parse_eqn(text: str, name: str = "netlist") -> Netlist:
     >>> net.simulate({"a": 1, "b": 0})
     {'z': 1}
     """
-    netlist = Netlist(name)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].split("//", 1)[0].strip()
-        if not line:
-            continue
-        upper = line.split(None, 1)
-        keyword = upper[0].upper()
-        if keyword == "INPUT":
-            for net in (upper[1].replace(",", " ").split() if len(upper) > 1 else []):
-                netlist.add_input(net)
-            continue
-        if keyword == "OUTPUT":
-            for net in (upper[1].replace(",", " ").split() if len(upper) > 1 else []):
-                netlist.add_output(net)
-            continue
-        netlist.add_gate(_parse_gate_line(line, lineno))
-    netlist.validate()
-    return netlist
-
-
-def _parse_gate_line(line: str, lineno: int) -> Gate:
-    if "=" not in line:
-        raise EqnFormatError(f"line {lineno}: expected '=' in {line!r}")
-    lhs, rhs = (part.strip() for part in line.split("=", 1))
-    if not lhs or " " in lhs:
-        raise EqnFormatError(f"line {lineno}: bad output net {lhs!r}")
-    open_paren = rhs.find("(")
-    if open_paren < 0 or not rhs.endswith(")"):
-        raise EqnFormatError(f"line {lineno}: expected GATE(...) in {rhs!r}")
-    type_name = rhs[:open_paren].strip().upper()
-    try:
-        gtype = GateType(type_name)
-    except ValueError:
-        raise EqnFormatError(
-            f"line {lineno}: unknown gate type {type_name!r}"
-        ) from None
-    arg_text = rhs[open_paren + 1 : -1].strip()
-    args = tuple(
-        arg.strip() for arg in arg_text.split(",") if arg.strip()
-    ) if arg_text else ()
-    try:
-        return Gate(lhs, gtype, args)
-    except ValueError as exc:
-        raise EqnFormatError(f"line {lineno}: {exc}") from exc
+    parsed = ParsedNetlist(name)
+    inputs, outputs = parsed.inputs, parsed.outputs
+    gates, gate_lines = parsed.gates, parsed.gate_lines
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line or "//" in line:
+            line = line.split("#", 1)[0].split("//", 1)[0]
+        # Declarations start with I/O, possibly after indentation.
+        if line[:1] in "IiOo" or line[:1].isspace():
+            line = line.strip()
+            if not line:
+                continue
+            keyword = line.split(None, 1)[0].upper()
+            if keyword in ("INPUT", "OUTPUT"):
+                decls = inputs if keyword == "INPUT" else outputs
+                for net in line[len(keyword):].replace(",", " ").split():
+                    decls.setdefault(net, lineno)
+                continue
+        lhs, equals, rhs = line.partition("=")
+        lhs, rhs = lhs.strip(), rhs.strip()
+        if not equals:
+            raise EqnFormatError(f"line {lineno}: expected '=' in {line!r}")
+        if not lhs or " " in lhs:
+            raise EqnFormatError(f"line {lineno}: bad output net {lhs!r}")
+        open_paren = rhs.find("(")
+        if open_paren < 0 or not rhs.endswith(")"):
+            raise EqnFormatError(
+                f"line {lineno}: expected GATE(...) in {rhs!r}"
+            )
+        type_name = rhs[:open_paren].strip().upper()
+        gtype = GATE_TYPES.get(type_name)
+        if gtype is None:
+            raise EqnFormatError(
+                f"line {lineno}: unknown gate type {type_name!r}"
+            )
+        args = tuple(map(str.strip, rhs[open_paren + 1 : -1].split(",")))
+        if "" in args:
+            args = tuple(arg for arg in args if arg)
+        try:
+            gates.append(Gate(lhs, gtype, args))
+        except ValueError as exc:
+            raise EqnFormatError(f"line {lineno}: {exc}") from exc
+        gate_lines.append(lineno)
+    return parsed.build(EqnFormatError)
 
 
 def write_eqn(netlist: Netlist, target: PathOrFile) -> None:

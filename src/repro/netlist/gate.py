@@ -46,6 +46,10 @@ class GateType(enum.Enum):
     MUX2 = "MUX2"
 
 
+#: Cell name -> type, for readers (a dict lookup, not an enum call).
+GATE_TYPES = {gtype.value: gtype for gtype in GateType}
+
+
 #: Gate types with a fixed number of inputs; ``None`` means n-ary (>= 2).
 _FIXED_ARITY = {
     GateType.CONST0: 0,

@@ -18,7 +18,6 @@ of the system relies on:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
@@ -26,7 +25,22 @@ from repro.netlist.gate import Gate, GateType, evaluate_gate
 
 
 class NetlistError(ValueError):
-    """Structural problem in a netlist (multi-driver, cycle, ...)."""
+    """Structural problem in a netlist (multi-driver, cycle, ...).
+
+    ``gate`` is the insertion index of the offending gate, ``output``
+    the index of the offending primary output, when the check knows
+    one; :class:`ParsedNetlist` maps them back to source lines.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        gate: Optional[int] = None,
+        output: Optional[int] = None,
+    ):
+        super().__init__(message)
+        self.gate = gate
+        self.output = output
 
 
 @dataclass
@@ -73,6 +87,7 @@ class Netlist:
         self.name = name
         self.inputs: List[str] = list(inputs)
         self.outputs: List[str] = list(outputs)
+        self._input_set: Set[str] = set(self.inputs)
         self._gates: List[Gate] = []
         self._driver: Dict[str, Gate] = {}
         self._topo_cache: Optional[List[Gate]] = None
@@ -84,19 +99,36 @@ class Netlist:
 
     def add_gate(self, gate: Gate) -> None:
         """Append a gate; rejects double-driven nets immediately."""
-        if gate.output in self._driver:
-            raise NetlistError(f"net {gate.output!r} has multiple drivers")
-        if gate.output in self.inputs:
-            raise NetlistError(f"primary input {gate.output!r} cannot be driven")
-        self._driver[gate.output] = gate
-        self._gates.append(gate)
+        self.add_gates((gate,))
+
+    def add_gates(self, gates: Iterable[Gate]) -> None:
+        """Append gates in order, with :meth:`add_gate`'s checks.
+
+        The bulk path the file readers take.  A rejected gate raises
+        :class:`NetlistError` carrying its insertion index; the gates
+        before it stay added.
+        """
+        driver, inputs, added = self._driver, self._input_set, self._gates
         self._topo_cache = None
         self._topo_pos_cache = None
+        for gate in gates:
+            net = gate.output
+            if net in driver:
+                raise NetlistError(
+                    f"net {net!r} has multiple drivers", gate=len(added)
+                )
+            if net in inputs:
+                raise NetlistError(
+                    f"primary input {net!r} cannot be driven", gate=len(added)
+                )
+            driver[net] = gate
+            added.append(gate)
 
     def add_input(self, name: str) -> None:
         if name in self._driver:
             raise NetlistError(f"net {name!r} is already driven by a gate")
-        if name not in self.inputs:
+        if name not in self._input_set:
+            self._input_set.add(name)
             self.inputs.append(name)
 
     def add_output(self, name: str) -> None:
@@ -137,17 +169,19 @@ class Netlist:
 
     def validate(self) -> None:
         """Raise :class:`NetlistError` on any structural defect."""
-        driven = set(self._driver)
-        available = driven | set(self.inputs)
-        for gate in self._gates:
+        available = self._driver.keys() | self._input_set
+        for index, gate in enumerate(self._gates):
             for net in gate.inputs:
                 if net not in available:
                     raise NetlistError(
-                        f"gate {gate.output!r} reads undriven net {net!r}"
+                        f"gate {gate.output!r} reads undriven net {net!r}",
+                        gate=index,
                     )
-        for net in self.outputs:
+        for index, net in enumerate(self.outputs):
             if net not in available:
-                raise NetlistError(f"primary output {net!r} is undriven")
+                raise NetlistError(
+                    f"primary output {net!r} is undriven", output=index
+                )
         self.topological_order()  # raises on cycles
 
     # ------------------------------------------------------------------
@@ -157,37 +191,41 @@ class Netlist:
     def topological_order(self) -> List[Gate]:
         """Gates ordered so every gate follows all its input drivers.
 
-        Kahn's algorithm; raises :class:`NetlistError` on combinational
-        cycles.  The result is cached until the netlist changes.
+        Kahn's algorithm over gate indices, first-in first-out from the
+        insertion order (``Aig.from_netlist`` numbers nodes in this
+        order, so it is part of the contract); raises
+        :class:`NetlistError` on combinational cycles.  The result is
+        cached until the netlist changes.
         """
         if self._topo_cache is not None:
             return self._topo_cache
-        indegree: Dict[str, int] = {}
-        for gate in self._gates:
-            indegree[gate.output] = sum(
-                1 for net in gate.inputs if net in self._driver
-            )
-        ready = deque(
-            gate for gate in self._gates if indegree[gate.output] == 0
-        )
-        fanout = self.fanout_map()
-        order: List[Gate] = []
-        while ready:
-            gate = ready.popleft()
-            order.append(gate)
-            for consumer in fanout.get(gate.output, ()):
-                indegree[consumer.output] -= 1
-                if indegree[consumer.output] == 0:
-                    ready.append(consumer)
-        if len(order) != len(self._gates):
-            stuck = sorted(
-                out for out, deg in indegree.items() if deg > 0
-            )
+        gates = self._gates
+        position = {gate.output: index for index, gate in enumerate(gates)}
+        indegree = [0] * len(gates)
+        fanout: List[List[int]] = [[] for _ in gates]
+        for index, gate in enumerate(gates):
+            degree = 0
+            for net in gate.inputs:
+                driver = position.get(net)
+                if driver is not None:
+                    degree += 1
+                    fanout[driver].append(index)
+            indegree[index] = degree
+        order = [index for index, degree in enumerate(indegree) if not degree]
+        for index in order:  # appended to while iterated: a FIFO queue
+            for consumer in fanout[index]:
+                indegree[consumer] -= 1
+                if not indegree[consumer]:
+                    order.append(consumer)
+        if len(order) != len(gates):
+            stuck = [index for index, degree in enumerate(indegree) if degree]
+            nets = sorted(gates[index].output for index in stuck)
             raise NetlistError(
-                f"combinational cycle involving nets {stuck[:5]}"
+                f"combinational cycle involving nets {nets[:5]}",
+                gate=stuck[0],
             )
-        self._topo_cache = order
-        return order
+        self._topo_cache = [gates[index] for index in order]
+        return self._topo_cache
 
     def topological_positions(self) -> Dict[str, int]:
         """Map gate-output net → its index in :meth:`topological_order`.
@@ -225,9 +263,7 @@ class Netlist:
                 stack.extend(gate.inputs)
         cone_inputs = [net for net in self.inputs if net in keep]
         sub = Netlist(f"{self.name}.{output}", cone_inputs, [output])
-        for gate in self._gates:
-            if gate.output in keep:
-                sub.add_gate(gate)
+        sub.add_gates(gate for gate in self._gates if gate.output in keep)
         return sub
 
     def cone_gates(self, output: str) -> List[Gate]:
@@ -313,8 +349,7 @@ class Netlist:
     def copy(self, name: Optional[str] = None) -> "Netlist":
         """Shallow-ish copy (gates are immutable and shared)."""
         dup = Netlist(name or self.name, self.inputs, self.outputs)
-        for gate in self._gates:
-            dup.add_gate(gate)
+        dup.add_gates(self._gates)
         return dup
 
     def __repr__(self) -> str:
@@ -322,3 +357,35 @@ class Netlist:
             f"Netlist({self.name!r}, {len(self.inputs)} in, "
             f"{len(self.outputs)} out, {len(self._gates)} gates)"
         )
+
+
+class ParsedNetlist:
+    """What a file reader collected: declarations and gates, each with
+    the line its statement starts on.
+
+    :meth:`build` makes the validated :class:`Netlist` in one bulk
+    pass.  A structural error (double driver, driven primary input,
+    undriven net, cycle) comes back as the reader's own error type,
+    prefixed with ``line N:`` of the gate or output it concerns.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        #: net -> line of its first declaration (repeats are ignored)
+        self.inputs: Dict[str, int] = {}
+        self.outputs: Dict[str, int] = {}
+        self.gates: List[Gate] = []
+        self.gate_lines: List[int] = []
+
+    def build(self, error: type) -> Netlist:
+        netlist = Netlist(self.name, self.inputs, self.outputs)
+        try:
+            netlist.add_gates(self.gates)
+            netlist.validate()
+        except NetlistError as problem:
+            if problem.gate is not None:
+                line = self.gate_lines[problem.gate]
+            else:
+                line = list(self.outputs.values())[problem.output]
+            raise error(f"line {line}: {problem}") from problem
+        return netlist

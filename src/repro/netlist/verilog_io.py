@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Dict, List, TextIO, Tuple, Union
+from typing import List, Optional, TextIO, Tuple, Union
 
 from repro.ioutil import atomic_write_text
 from repro.netlist.gate import Gate, GateType
-from repro.netlist.netlist import Netlist, NetlistError
+from repro.netlist.netlist import Netlist, NetlistError, ParsedNetlist
 
 PathOrFile = Union[str, os.PathLike, TextIO]
 
@@ -119,6 +119,16 @@ _ASSIGN_PATTERNS: List[Tuple[GateType, re.Pattern]] = [
 ]
 
 
+#: Comments; a block comment keeps its newlines so line numbers hold.
+_COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", flags=re.S)
+_HEADER = re.compile(r"module\s+(\S+)\s*\((.*?)\)\s*;", flags=re.S)
+#: A primitive instance: ``and g0 (z, a, b)`` -> ("and", "z, a, b").
+_INSTANCE = re.compile(
+    r"(%s)\s+\S+\s*\((.*)\)\Z" % "|".join(_TYPE_OF_PRIMITIVE), flags=re.S
+)
+_ASSIGN = re.compile(r"assign\s+(\S+)\s*=\s*(.*)", flags=re.S)
+
+
 def _unescape(token: str) -> str:
     token = token.strip()
     if token.startswith("\\"):
@@ -127,51 +137,71 @@ def _unescape(token: str) -> str:
 
 
 def parse_verilog(text: str) -> Netlist:
-    """Parse the writer's structural-Verilog subset."""
-    # Strip comments, join into statements on ';'.
-    text = re.sub(r"//[^\n]*", "", text)
-    text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
-    header = re.search(r"module\s+(\S+)\s*\((.*?)\)\s*;", text, flags=re.S)
+    """Parse the writer's structural-Verilog subset.
+
+    One pass over the ``;``-separated statements; every error is a
+    :class:`VerilogFormatError` that starts with ``line N:``, the line
+    the statement starts on.
+    """
+    if "/" in text:
+        text = _COMMENT.sub(lambda match: "\n" * match[0].count("\n"), text)
+    header = _HEADER.search(text)
     if not header:
-        raise VerilogFormatError("no module header found")
-    netlist = Netlist(header.group(1))
-    body = text[header.end():]
-    end = body.find("endmodule")
+        start = text.find("module")
+        lineno = text.count("\n", 0, start) + 1 if start >= 0 else 1
+        raise VerilogFormatError(f"line {lineno}: no module header found")
+    end = text.find("endmodule", header.end())
     if end < 0:
-        raise VerilogFormatError("missing endmodule")
-    body = body[:end]
-    for statement in (s.strip() for s in body.split(";")):
+        lineno = text.count("\n", 0, header.start()) + 1
+        raise VerilogFormatError(f"line {lineno}: missing endmodule")
+    parsed = ParsedNetlist(header[1])
+    line = text.count("\n", 0, header.end()) + 1
+    for chunk in text[header.end() : end].split(";"):
+        statement = chunk.lstrip()
+        lineno = line + chunk.count("\n", 0, len(chunk) - len(statement))
+        line += chunk.count("\n")
+        statement = statement.rstrip()
         if not statement:
             continue
-        keyword = statement.split(None, 1)[0]
-        if keyword in ("input", "output", "wire"):
-            decl = statement[len(keyword):]
-            for token in decl.split(","):
-                net = _unescape(token)
-                if not net:
-                    continue
-                if keyword == "input":
-                    netlist.add_input(net)
-                elif keyword == "output":
-                    netlist.add_output(net)
-        elif keyword in _TYPE_OF_PRIMITIVE:
-            inst = re.match(r"\S+\s+\S+\s*\((.*)\)", statement, flags=re.S)
-            if not inst:
-                raise VerilogFormatError(f"bad instantiation: {statement!r}")
-            args = [_unescape(a) for a in inst.group(1).split(",")]
-            gtype = _TYPE_OF_PRIMITIVE[keyword]
-            netlist.add_gate(Gate(args[0], gtype, tuple(args[1:])))
-        elif keyword == "assign":
-            match = re.match(r"assign\s+(\S+)\s*=\s*(.*)", statement, flags=re.S)
-            if not match:
-                raise VerilogFormatError(f"bad assign: {statement!r}")
-            target = _unescape(match.group(1))
-            rhs = match.group(2).strip()
-            netlist.add_gate(_parse_assign(target, rhs))
-        else:
-            raise VerilogFormatError(f"unsupported statement: {statement!r}")
-    netlist.validate()
-    return netlist
+        if statement[:4] == "wire" and statement[4:5].isspace():
+            continue  # a wire declaration adds nothing the gates do not
+        try:
+            gate = _statement_gate(statement, parsed, lineno)
+        except ValueError as error:
+            raise VerilogFormatError(f"line {lineno}: {error}") from error
+        if gate is not None:
+            parsed.gates.append(gate)
+            parsed.gate_lines.append(lineno)
+    return parsed.build(VerilogFormatError)
+
+
+def _statement_gate(
+    statement: str, parsed: ParsedNetlist, lineno: int
+) -> Optional[Gate]:
+    """The gate a statement instantiates, or ``None`` for a declaration
+    (recorded in ``parsed``)."""
+    instance = _INSTANCE.match(statement)
+    if instance is not None:
+        operands = instance[2]
+        strip = _unescape if "\\" in operands else str.strip
+        args = tuple(map(strip, operands.split(",")))
+        return Gate(args[0], _TYPE_OF_PRIMITIVE[instance[1]], args[1:])
+    keyword = statement.split(None, 1)[0]
+    if keyword in ("input", "output"):
+        decls = parsed.inputs if keyword == "input" else parsed.outputs
+        for token in statement[len(keyword) :].split(","):
+            net = _unescape(token)
+            if net:
+                decls.setdefault(net, lineno)
+        return None
+    if keyword == "assign":
+        match = _ASSIGN.match(statement)
+        if not match:
+            raise VerilogFormatError(f"bad assign: {statement!r}")
+        return _parse_assign(_unescape(match[1]), match[2].strip())
+    if keyword in _TYPE_OF_PRIMITIVE:
+        raise VerilogFormatError(f"bad instantiation: {statement!r}")
+    raise VerilogFormatError(f"unsupported statement: {statement!r}")
 
 
 def _parse_assign(target: str, rhs: str) -> Gate:

@@ -70,9 +70,7 @@ from repro.engine import (
     engine_availability,
     unavailable_reason,
 )
-from repro.netlist.blif_io import parse_blif
-from repro.netlist.eqn_io import parse_eqn
-from repro.netlist.verilog_io import parse_verilog
+from repro.netlist.formats import FORMATS, parse_netlist
 from repro.service.cache import KINDS, ResultCache
 from repro.service.resilience import (
     Quarantined,
@@ -82,7 +80,6 @@ from repro.service.resilience import (
     select_engine,
 )
 
-_PARSERS = {"eqn": parse_eqn, "blif": parse_blif, "v": parse_verilog}
 _MODES = ("extract", "audit", "diagnose")
 
 #: Submission payloads above this size are rejected outright.
@@ -872,7 +869,7 @@ def _make_handler(server: "ReproAPIServer"):
                 self._error(400, "missing 'netlist' text")
                 return
             fmt = body.get("format", "eqn")
-            if fmt not in _PARSERS:
+            if fmt not in FORMATS:
                 self._error(400, f"unknown format {fmt!r}")
                 return
             mode = body.get("mode", "audit")
@@ -911,7 +908,7 @@ def _make_handler(server: "ReproAPIServer"):
                         self._error(400, f"unknown engine {engine!r}")
                     return
             try:
-                netlist = _PARSERS[fmt](text)
+                netlist = parse_netlist(text, fmt)
             except Exception as error:  # noqa: BLE001 - surface parse errors
                 self._error(
                     400, f"netlist parse failed: "

@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro import telemetry as _telemetry
+from repro.netlist.formats import netlist_format, read_netlist
 from repro.netlist.netlist import Netlist
 from repro.service.cache import ResultCache
 from repro.service.fingerprint import fingerprint_with_cones
@@ -127,12 +128,6 @@ def diff_cones(
         )
 
 
-def _readers() -> Dict[str, Any]:
-    from repro.service.runner import NETLIST_READERS
-
-    return NETLIST_READERS
-
-
 def fingerprint_file(
     path: PathLike, cache: ResultCache
 ) -> Tuple[str, Dict[str, str], Optional[Netlist]]:
@@ -149,12 +144,11 @@ def fingerprint_file(
     if memo is not None and isinstance(memo.get("cones"), dict):
         return memo["fingerprint"], memo["cones"], None
     path = Path(path)
-    reader = _readers().get(path.suffix)
-    if reader is None:
+    if netlist_format(path) is None:
         raise EcoError(f"unknown netlist format {path.suffix!r}: {path}")
     try:
         stat = os.stat(path)  # before the read: overwrite-safe
-        netlist = reader(path)
+        netlist = read_netlist(path)
     except OSError as error:
         raise EcoError(f"cannot read {path}: {error}") from error
     fingerprint, cones = fingerprint_with_cones(netlist)
@@ -296,8 +290,7 @@ def eco_reverify(
         diff = diff_cones(base_fp, base_cones, edit_fp, edit_cones, tel)
 
         def load(path, fingerprint, cones):
-            reader = _readers()[Path(path).suffix]
-            netlist = reader(Path(path))
+            netlist = read_netlist(path)
             cache.remember_fingerprint(netlist, fingerprint, cones)
             return netlist
 

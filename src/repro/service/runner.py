@@ -53,9 +53,7 @@ from repro import chaos as _chaos
 from repro import telemetry as _telemetry
 from repro.engine import DEFAULT_ENGINE
 from repro.ioutil import atomic_append_line, atomic_write_text
-from repro.netlist.blif_io import read_blif
-from repro.netlist.eqn_io import read_eqn
-from repro.netlist.verilog_io import read_verilog
+from repro.netlist.formats import netlist_format, read_netlist
 from repro.service.resilience import (
     Deadline,
     Quarantined,
@@ -64,8 +62,6 @@ from repro.service.resilience import (
     run_supervised,
     select_engine,
 )
-
-NETLIST_READERS = {".eqn": read_eqn, ".blif": read_blif, ".v": read_verilog}
 
 PathLike = Union[str, os.PathLike]
 
@@ -86,14 +82,14 @@ def discover_netlists(target: PathLike) -> List[Path]:
         paths = sorted(
             path
             for path in target.iterdir()
-            if path.suffix in NETLIST_READERS and path.is_file()
+            if netlist_format(path) and path.is_file()
         )
         if not paths:
             raise CampaignError(f"no netlists (.eqn/.blif/.v) in {target}")
         return paths
     if not target.exists():
         raise CampaignError(f"campaign target {target} does not exist")
-    if target.suffix in NETLIST_READERS:
+    if netlist_format(target):
         return [target]
     paths = []
     for raw in target.read_text(encoding="utf-8").splitlines():
@@ -178,8 +174,7 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
         max_rss_bytes=task.get("max_rss_bytes"),
     )
     try:
-        reader = NETLIST_READERS.get(path.suffix)
-        if reader is None:
+        if netlist_format(path) is None:
             raise CampaignError(f"unknown netlist format {path.suffix!r}")
 
         # Startup degradation: a registered-but-unusable engine walks
@@ -197,7 +192,7 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
         def load():
             nonlocal netlist
             if netlist is None:
-                netlist = reader(path)
+                netlist = read_netlist(path)
                 if cache is not None and fingerprint is not None:
                     # The file memo already knows this netlist's
                     # fingerprint (and usually its cone digests); seed

@@ -231,12 +231,27 @@ class TestRejections:
         connection.close()
 
     def test_unparseable_netlist(self, base):
-        view = post(
-            f"{base}/v1/jobs",
-            {"netlist": "INPUT a\nz = FROB(a)\n"},
-            expect=(400,),
-        )
-        assert "parse failed" in view["error"]
+        for fmt, text, error in (
+            ("eqn", "INPUT a\nz = FROB(a)\n", "EqnFormatError: line 2: "),
+            (
+                "blif",
+                ".model t\n.inputs a b\n.outputs z\n.names a b z\n1x 1\n",
+                "BlifFormatError: line 5: ",
+            ),
+            (
+                "v",
+                "module t (a, z);\ninput a;\noutput z;\nand g0 (z, a);\n"
+                "endmodule\n",
+                "VerilogFormatError: line 4: ",
+            ),
+        ):
+            view = post(
+                f"{base}/v1/jobs",
+                {"netlist": text, "format": fmt},
+                expect=(400,),
+            )
+            assert "parse failed" in view["error"]
+            assert error in view["error"]
 
     def test_unknown_mode_engine_format(self, base):
         text = format_eqn(generate_mastrovito(0b111))
